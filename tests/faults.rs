@@ -45,16 +45,23 @@ fn graph() -> &'static SbmGraph {
 /// respawn budget available. The epoch completes, every batch trains
 /// exactly once, and the RecoveryReport + metrics surface agree on what
 /// happened.
+///
+/// This test and the two after it make the crash's target the only
+/// executor of its role (Trainers also run with switching off), so the
+/// target receives work by construction. With a peer Trainer or a
+/// switched standby on the same queue, the peer could drain every batch
+/// before the target leased its third, and the crash would never fire.
 #[test]
 fn trainer_crash_mid_epoch_recovers_and_reports() {
     let seed = fault_seed();
     let obs = Arc::new(Obs::wall());
     let cfg = ThreadedConfig {
         num_samplers: 1,
-        num_trainers: 2,
+        num_trainers: 1,
         epochs: 2,
         batch_size: 20,
         queue_capacity: 4,
+        dynamic_switching: false,
         trainer_delay: Some(Duration::from_millis(1)),
         faults: FaultPlan::crash_trainer(0, 2).with_seed(seed),
         seed,
@@ -102,10 +109,11 @@ fn trainer_crash_without_budget_fails_fast() {
     let seed = fault_seed();
     let cfg = ThreadedConfig {
         num_samplers: 1,
-        num_trainers: 2,
+        num_trainers: 1,
         epochs: 2,
         batch_size: 20,
         queue_capacity: 4,
+        dynamic_switching: false,
         faults: FaultPlan::crash_trainer(0, 2)
             .with_seed(seed)
             .with_max_respawns(0),
@@ -124,17 +132,19 @@ fn trainer_crash_without_budget_fails_fast() {
 }
 
 /// A Sampler crash recovers the claimed batch through the orphan list:
-/// exactly-once holds and the report shows the recovery.
+/// exactly-once holds and the report shows the recovery. The crashing
+/// Sampler is the only one, so it claims work by construction (a peer
+/// could claim every burst first) and its respawn re-samples the orphans.
 #[test]
 fn sampler_crash_mid_epoch_recovers() {
     let seed = fault_seed();
     let cfg = ThreadedConfig {
-        num_samplers: 2,
+        num_samplers: 1,
         num_trainers: 1,
         epochs: 2,
         batch_size: 20,
         queue_capacity: 4,
-        faults: FaultPlan::crash_sampler(1, 1).with_seed(seed),
+        faults: FaultPlan::crash_sampler(0, 1).with_seed(seed),
         seed,
         ..Default::default()
     };

@@ -186,3 +186,49 @@ fn pipeline_metrics_report_real_overlap() {
     assert_eq!(obs0.metrics.counter(names::PIPELINE_PREFETCH_HIT), 0.0);
     assert_eq!(obs0.metrics.counter(names::PIPELINE_STALL_NS), 0.0);
 }
+
+/// FNV-1a over the bit-level [`fingerprint`]: one 64-bit digest of the
+/// per-batch history, the final parameters and the batch count.
+fn digest(res: &ThreadedResult) -> u64 {
+    let (history, params, trained) = fingerprint(res);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (id, loss, acc) in history {
+        feed(&id.to_le_bytes());
+        feed(&loss.to_le_bytes());
+        feed(&acc.to_le_bytes());
+    }
+    for p in params {
+        feed(&p.to_le_bytes());
+    }
+    feed(&(trained as u64).to_le_bytes());
+    h
+}
+
+/// Pins the training output of both pipeline depths to golden digests.
+/// Both were recorded by running this test against the two-loop consumer
+/// (a dedicated serial loop for depth 0, a separate pipelined loop for
+/// depth 1) in the commit before the two were merged into one lookahead
+/// loop. The depth-0 ≡ depth-1 identity above only compares the current
+/// loop with itself; this anchors it to the old reference output. The
+/// digests were recorded on x86-64 Linux (glibc 2.36); a platform whose
+/// float math library rounds `exp`/`ln` differently gives other bits.
+#[test]
+fn training_output_matches_the_two_loop_reference() {
+    const SEED: u64 = 42;
+    const GOLDEN: [(usize, u64); 2] = [(0, 0x8e7d_a63a_517b_7470), (1, 0x8e7d_a63a_517b_7470)];
+    for (depth, want) in GOLDEN {
+        let res = run_threaded(graph(), ModelKind::GraphSage, &cfg(SEED, depth, 1, 0.3))
+            .expect("healthy run");
+        assert_eq!(
+            digest(&res),
+            want,
+            "depth {depth} digest drifted from the two-loop reference"
+        );
+    }
+}
