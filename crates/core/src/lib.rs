@@ -25,9 +25,16 @@
 //!   preprocessing (Table 6).
 //! - [`train_real`]: actual data-parallel training to an accuracy target
 //!   (the Fig. 16 convergence experiment).
+//! - [`threaded`]: the factored architecture as a real multi-threaded
+//!   program — Sampler threads, one consumer loop for Trainers and
+//!   standbys at every pipeline depth, live switching, and the crash
+//!   supervisor.
+//! - [`driver`]: multi-epoch job summaries (preprocessing amortized over
+//!   the epochs) on top of the co-simulations.
+//! - [`sync`]: the lock/condvar/atomic façade every runtime module
+//!   imports, swapped for the model checker's types under `chk`.
 //! - [`report`]: stage breakdowns and epoch reports matching the paper's
 //!   table columns.
-
 //! - [`checkpoint`]: durable crash-safe checkpoint/resume — versioned,
 //!   CRC-checked, atomically-written generations plus the manifest-based
 //!   latest-valid selection the kill–resume chaos harness exercises.

@@ -14,7 +14,7 @@
 //! ```text
 //! --samplers N --trainers N --epochs N --batch-size N --capacity N --seed S
 //! --threads N                 data-parallel width of Extract/pre-sampling
-//! --pipeline-depth 0|1        0 = serial consumer loop (reference path);
+//! --pipeline-depth 0|1        0 = inline extract (the serial reference);
 //!                             1 = double-buffered extract prefetch +
 //!                             burst queue handoff (default)
 //! --crash-trainer IDX@BATCH   kill Trainer IDX after BATCH batches
@@ -327,7 +327,7 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
             "--batch-size" => ok = value.parse().map(|v| cfg.batch_size = v).is_ok(),
             "--capacity" => ok = value.parse().map(|v| cfg.queue_capacity = v).is_ok(),
             "--seed" => ok = value.parse().map(|v| cfg.seed = v).is_ok(),
-            // 0 = the serial reference consumer loop; 1 = double-buffered
+            // 0 = inline extract, the serial reference; 1 = double-buffered
             // extract prefetch with burst queue handoff (the default).
             "--pipeline-depth" => match value.parse::<usize>() {
                 Ok(d) if d <= 1 => cfg.pipeline_depth = d,
