@@ -1,0 +1,405 @@
+use super::params::ParamServer;
+use super::{RecoveryReport, Shared, ThreadedError, ThreadedErrorKind};
+use crate::checkpoint::{
+    self, CheckpointError, CheckpointMeta, CheckpointPolicy, CheckpointState, RngCursor,
+    SchedSnapshot,
+};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
+use gnnlab_obs::names;
+use gnnlab_tensor::{Adam, Matrix};
+use std::time::{Duration, Instant};
+
+// ---------------------------------------------------------------------------
+// Checkpoint quiesce gate.
+// ---------------------------------------------------------------------------
+
+/// How often gate-aware executors poll between quiesce checks.
+pub(super) const CKPT_POLL: Duration = Duration::from_millis(10);
+
+/// The quiesce gate's mutable core. `participants` counts live executor
+/// threads (registered at spawn, deregistered when the thread's closure
+/// ends — including the crash-handler path); `parked` counts how many are
+/// waiting inside [`Shared::ckpt_park`]. The round number lets parked
+/// threads detect that a round ended (written or aborted) without a
+/// separate flag per thread.
+struct GateState {
+    participants: usize,
+    parked: usize,
+    round: u64,
+    /// True while one parked thread (the round's closer) is writing with
+    /// the gate lock released; blocks a second thread from also closing.
+    closing: bool,
+}
+
+/// Live checkpointing state for a run whose policy is enabled.
+pub(super) struct CkptRuntime {
+    pub(super) policy: CheckpointPolicy,
+    gate: Mutex<GateState>,
+    cv: Condvar,
+    /// Fast-path mirror of "a quiesce round is pending" (set by the
+    /// cadence check, cleared by the round's closer under the gate lock).
+    pub(super) requested: AtomicBool,
+    /// Batch-count trigger: a round is requested once `trained` reaches
+    /// this. Advanced only on a successful write, so aborted rounds retry
+    /// at the next opportunity.
+    next_due: AtomicUsize,
+    /// Next generation number to write (resume continues past the loaded
+    /// generation).
+    generation: AtomicU64,
+    /// Successful writes this run.
+    pub(super) writes: AtomicUsize,
+    /// Wall clock of the last successful write (drives `every_secs`).
+    last_write: Mutex<Instant>,
+    /// The chaos kill-point fires at most once.
+    pub(super) kill_fired: AtomicBool,
+}
+
+impl CkptRuntime {
+    pub(super) fn new(
+        policy: CheckpointPolicy,
+        batches_per_epoch: usize,
+        start_cursor: usize,
+    ) -> Self {
+        let cadence = policy.batch_cadence(batches_per_epoch);
+        let next_due = cadence.map_or(usize::MAX, |n| start_cursor + n);
+        CkptRuntime {
+            policy,
+            gate: Mutex::new(GateState {
+                participants: 0,
+                parked: 0,
+                round: 0,
+                closing: false,
+            }),
+            cv: Condvar::new(),
+            requested: AtomicBool::new(false),
+            next_due: AtomicUsize::new(next_due),
+            generation: AtomicU64::new(0),
+            writes: AtomicUsize::new(0),
+            last_write: Mutex::new(Instant::now()),
+            kill_fired: AtomicBool::new(false),
+        }
+    }
+}
+
+impl Shared<'_> {
+    // -- Checkpointing ------------------------------------------------------
+
+    /// Registers the calling executor thread with the quiesce gate.
+    pub(super) fn ckpt_enter(&self) {
+        if let Some(c) = &self.ckpt {
+            c.gate.lock().participants += 1;
+        }
+    }
+
+    /// Deregisters an executor thread (normal exit and crash paths both).
+    /// Wakes parked peers so a pending round can close without the
+    /// departed participant.
+    pub(super) fn ckpt_exit(&self) {
+        if let Some(c) = &self.ckpt {
+            let mut g = c.gate.lock();
+            g.participants -= 1;
+            drop(g);
+            c.cv.notify_all();
+        }
+    }
+
+    /// Cadence check, called by consumers after completing a batch:
+    /// requests a quiesce round once enough batches trained or enough
+    /// wall-clock passed since the last successful write.
+    pub(super) fn ckpt_request_if_due(&self) {
+        let Some(c) = &self.ckpt else { return };
+        if c.requested.load(Ordering::Relaxed) {
+            return;
+        }
+        let due_batches =
+            self.trained.load(Ordering::Relaxed) >= c.next_due.load(Ordering::Relaxed);
+        let due_secs = c
+            .policy
+            .every_secs
+            .is_some_and(|t| c.last_write.lock().elapsed().as_secs_f64() >= t);
+        if due_batches || due_secs {
+            c.requested.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Parks the calling executor for a requested quiesce round. The last
+    /// participant to park validates that the pipeline is fully drained
+    /// (queue empty, zero leases, no open sampler claims or orphans) and
+    /// writes the checkpoint; if something is still in flight the round
+    /// aborts and retries at the next park opportunity. Returns promptly
+    /// when no round is pending.
+    pub(super) fn ckpt_park(&self, c: &CkptRuntime, producer: bool) {
+        let mut g = c.gate.lock();
+        if !c.requested.load(Ordering::Relaxed) {
+            return;
+        }
+        g.parked += 1;
+        let my_round = g.round;
+        loop {
+            if g.round != my_round
+                || !c.requested.load(Ordering::Relaxed)
+                || self.queue.poison_reason().is_some()
+            {
+                break;
+            }
+            if !producer && self.queue.remaining() > 0 {
+                // A producer slipped a sample in before reaching its own
+                // park check — it may even be blocked on a full queue,
+                // unable to ever park. Leave the gate and drain; the
+                // round stays pending and this consumer re-parks once
+                // the queue is empty again. Producers stay parked for
+                // the whole round, so this converges.
+                break;
+            }
+            if g.parked == g.participants && !g.closing {
+                let queue_busy = self.queue.remaining() > 0 || self.queue.leased_count() > 0;
+                let book_busy = {
+                    let book = self.book.lock();
+                    !book.claims.is_empty() || !book.orphans.is_empty()
+                };
+                if !queue_busy && !book_busy {
+                    // This thread closes the round: write with the gate
+                    // lock released (peers stay parked — the round hasn't
+                    // ended and `closing` blocks a second writer).
+                    g.closing = true;
+                    drop(g);
+                    self.write_checkpoint_now(c);
+                    g = c.gate.lock();
+                    g.closing = false;
+                    c.requested.store(false, Ordering::Relaxed);
+                    g.round = g.round.wrapping_add(1);
+                    break;
+                }
+                if book_busy {
+                    // Un-drainable while everyone is parked: an open claim
+                    // or orphan needs a live peer to re-sample it. Abort
+                    // the round; the cadence re-requests one once recovery
+                    // has made progress.
+                    c.requested.store(false, Ordering::Relaxed);
+                    g.round = g.round.wrapping_add(1);
+                    break;
+                }
+                // Only the queue is busy: a producer slipped its in-hand
+                // sample in just before parking. A parked consumer's
+                // drain-escape above will wake within the poll interval,
+                // drain it, and re-park on an empty queue — keep the
+                // round pending rather than aborting, otherwise a fast
+                // consumer that always out-drains the producer would
+                // abort every round and never write a checkpoint.
+            }
+            c.cv.wait_for(&mut g, CKPT_POLL);
+        }
+        g.parked -= 1;
+        drop(g);
+        c.cv.notify_all();
+    }
+
+    /// Assembles and durably writes the next checkpoint generation. Called
+    /// only from the quiesce round's closer, with every participant
+    /// parked, so the locks it takes see a consistent frozen pipeline.
+    fn write_checkpoint_now(&self, c: &CkptRuntime) {
+        let started = Instant::now();
+        let state = self.assemble_checkpoint();
+        let cursor = state.cursor as usize;
+        let generation = c.generation.load(Ordering::Relaxed);
+        let dir = gnnlab_par::invariant!(
+            c.policy.dir.as_deref(),
+            "CheckpointPolicy::validate requires a dir when enabled"
+        );
+        match checkpoint::write_generation(
+            dir,
+            generation,
+            &state,
+            c.policy.effective_keep(),
+            &c.policy.chaos,
+        ) {
+            Ok(bytes) => {
+                let ns = started.elapsed().as_nanos() as f64;
+                let m = &self.obs.metrics;
+                m.observe(names::CKPT_WRITE_NS, ns);
+                m.gauge_set(names::CKPT_LAST_WRITE_NS, ns);
+                m.counter_add(names::CKPT_BYTES, bytes as f64);
+                m.gauge_set(names::CKPT_GENERATION, generation as f64);
+                c.generation.fetch_add(1, Ordering::Relaxed);
+                c.writes.fetch_add(1, Ordering::Relaxed);
+                *c.last_write.lock() = Instant::now();
+                if let Some(n) = c.policy.batch_cadence(self.batches_per_epoch) {
+                    c.next_due.store(cursor + n, Ordering::Relaxed);
+                }
+            }
+            Err(CheckpointError::KilledMidWrite) => {
+                self.fail_fatal(ThreadedError::new(
+                    ThreadedErrorKind::Killed,
+                    "Checkpointer",
+                    format!("simulated process kill during write of generation {generation}"),
+                ));
+            }
+            Err(e) => {
+                self.fail_fatal(ThreadedError::new(
+                    ThreadedErrorKind::Checkpoint,
+                    "Checkpointer",
+                    e.to_string(),
+                ));
+            }
+        }
+    }
+
+    /// Snapshots every piece of live run state the checkpoint format
+    /// persists. Only sound at a quiesce point (queue drained, no leases,
+    /// no open claims): then `book.cursor` is exactly the count of batches
+    /// trained and the history holds one record per trained batch.
+    fn assemble_checkpoint(&self) -> CheckpointState {
+        let cursor = self.book.lock().cursor as u64;
+        let (params, opt) = {
+            let mut guard = self.server.lock();
+            let params: Vec<Matrix> = guard
+                .master
+                .params_mut()
+                .iter()
+                .map(|p| p.value.clone())
+                .collect();
+            (params, guard.opt.export_state())
+        };
+        let mut history = self.history.lock().clone();
+        history.sort_by_key(|r| r.id);
+        let bpe = self.batches_per_epoch.max(1) as u64;
+        CheckpointState {
+            meta: self.checkpoint_meta(),
+            params,
+            opt,
+            sched: SchedSnapshot {
+                t_sample: self.stats.t_sample.get(),
+                t_train: self.stats.t_train.get(),
+                t_standby: self.stats.t_standby.get(),
+                refresh_secs: self.refresh_secs.get(),
+                switches: self.switches.load(Ordering::Relaxed) as u64,
+            },
+            rng: RngCursor {
+                seed: self.cfg.seed,
+                next_epoch: cursor / bpe,
+                next_batch: cursor % bpe,
+            },
+            cursor,
+            recovery: self.recovery_snapshot(),
+            history,
+        }
+    }
+
+    /// The cumulative recovery report as of now (also the end-of-run
+    /// report).
+    pub(super) fn recovery_snapshot(&self) -> RecoveryReport {
+        RecoveryReport {
+            faults_injected: self.faults_injected.load(Ordering::Relaxed),
+            replayed_batches: self.replayed.load(Ordering::Relaxed),
+            respawns: self.respawns.load(Ordering::Relaxed),
+            reassignments: self.reassignments.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            downtime_ns: self.downtime_ns.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The live run's identity card, compared against a checkpoint's
+    /// stored meta before resuming (mismatch = refuse, not reinterpret).
+    fn checkpoint_meta(&self) -> CheckpointMeta {
+        CheckpointMeta {
+            seed: self.cfg.seed,
+            epochs: self.cfg.epochs as u64,
+            batch_size: self.cfg.batch_size as u64,
+            hidden_dim: self.cfg.hidden_dim as u64,
+            lr_bits: self.cfg.lr.to_bits(),
+            model_kind: self.kind,
+            num_vertices: self.graph.csr.num_vertices() as u64,
+            num_edges: self.graph.csr.num_edges() as u64,
+            feat_dim: self.graph.feat_dim as u64,
+            num_classes: self.graph.num_classes as u64,
+            batches_per_epoch: self.batches_per_epoch as u64,
+            total_batches: (self.batches_per_epoch * self.cfg.epochs) as u64,
+            num_samplers: self.cfg.num_samplers as u64,
+            num_trainers: self.cfg.num_trainers as u64,
+            dynamic_switching: self.cfg.dynamic_switching,
+            trainer_rows: self.plan.trainer_rows as u64,
+            standby_rows: self.plan.standby_rows as u64,
+        }
+    }
+
+    /// Restores a loaded checkpoint into the freshly-built shared state,
+    /// before any executor spawns. Refuses (typed error) when the stored
+    /// meta doesn't match the live run.
+    pub(super) fn apply_resume(
+        &self,
+        generation: u64,
+        state: CheckpointState,
+    ) -> Result<(), ThreadedError> {
+        let refuse = |why: String| {
+            Err(ThreadedError::new(
+                ThreadedErrorKind::Checkpoint,
+                "resume",
+                why,
+            ))
+        };
+        let expect = self.checkpoint_meta();
+        if state.meta != expect {
+            return refuse(format!(
+                "checkpoint generation {generation} belongs to a different run \
+                 configuration (seed/model/graph/topology mismatch)"
+            ));
+        }
+        {
+            let mut guard = self.server.lock();
+            let ParamServer { master, opt } = &mut *guard;
+            let mut params = master.params_mut();
+            if params.len() != state.params.len() {
+                return refuse(format!(
+                    "checkpoint generation {generation} holds {} parameter \
+                     tensors, the live model has {}",
+                    state.params.len(),
+                    params.len()
+                ));
+            }
+            for (p, saved) in params.iter_mut().zip(&state.params) {
+                if (p.value.rows(), p.value.cols()) != (saved.rows(), saved.cols()) {
+                    return refuse(format!(
+                        "checkpoint generation {generation} has a parameter \
+                         shape mismatch"
+                    ));
+                }
+                p.value = saved.clone();
+            }
+            drop(params);
+            *opt = Adam::from_state(state.opt);
+        }
+        let cursor = state.cursor as usize;
+        self.book.lock().cursor = cursor;
+        self.trained.store(cursor, Ordering::Relaxed);
+        self.produced.store(cursor, Ordering::Relaxed);
+        self.switches
+            .store(state.sched.switches as usize, Ordering::Relaxed);
+        self.stats.t_sample.set(state.sched.t_sample);
+        self.stats.t_train.set(state.sched.t_train);
+        self.stats.t_standby.set(state.sched.t_standby);
+        self.refresh_secs.set(state.sched.refresh_secs);
+        self.faults_injected
+            .store(state.recovery.faults_injected, Ordering::Relaxed);
+        self.replayed
+            .store(state.recovery.replayed_batches, Ordering::Relaxed);
+        self.respawns
+            .store(state.recovery.respawns, Ordering::Relaxed);
+        self.reassignments
+            .store(state.recovery.reassignments, Ordering::Relaxed);
+        self.retries
+            .store(state.recovery.retries, Ordering::Relaxed);
+        self.downtime_ns
+            .store(state.recovery.downtime_ns, Ordering::Relaxed);
+        *self.history.lock() = state.history;
+        if let Some(c) = &self.ckpt {
+            c.generation.store(generation + 1, Ordering::Relaxed);
+            if let Some(n) = c.policy.batch_cadence(self.batches_per_epoch) {
+                c.next_due.store(cursor + n, Ordering::Relaxed);
+            }
+            self.obs
+                .metrics
+                .gauge_set(names::CKPT_GENERATION, generation as f64);
+        }
+        Ok(())
+    }
+}
