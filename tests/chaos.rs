@@ -17,7 +17,7 @@
 
 use gnnlab::core::checkpoint::ChaosPlan;
 use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig, ThreadedErrorKind, ThreadedResult};
-use gnnlab::core::CheckpointPolicy;
+use gnnlab::core::{CheckpointPolicy, FaultPlan};
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
 use gnnlab::obs::{names, AlertRules, MetricsServer, Obs, TelemetryConfig};
 use gnnlab::tensor::ModelKind;
@@ -283,6 +283,58 @@ fn one_byte_flip_is_rejected_with_fallback() {
     );
     assert!(resume_obs.metrics.counter(names::CKPT_TORN_DETECTED) >= 1.0);
     assert_bit_identical(&base, &resumed, "one-byte flip");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Kill–resume under seeded transient faults: the checkpoint carries the
+/// recovery report across the restart. Batches trained before the last
+/// durable generation contribute their retries through the checkpoint;
+/// batches after it retrain (and re-count theirs) in the resumed run, so
+/// the final report equals the uninterrupted baseline's.
+#[test]
+fn kill_resume_carries_the_recovery_report() {
+    let seed = 7u64;
+    let graph = graph_for(seed);
+    let with_transients = |checkpoint| ThreadedConfig {
+        faults: FaultPlan::none().with_seed(seed).with_transients(0.5, 2),
+        ..cfg_with(seed, checkpoint)
+    };
+    let base = run(
+        &graph,
+        &with_transients(CheckpointPolicy::default()),
+        &Arc::new(Obs::wall()),
+    );
+    assert!(base.recovery.retries > 0, "p=0.5 must trigger retries");
+
+    let dir = chaos_dir("transients");
+    let mut policy = policy_at(&dir);
+    policy.chaos = ChaosPlan {
+        kill_after_batches: Some(17),
+        ..ChaosPlan::default()
+    };
+    let killed = run_threaded_obs(
+        &graph,
+        ModelKind::GraphSage,
+        &with_transients(policy),
+        &Arc::new(Obs::wall()),
+    )
+    .expect_err("chaos kill must abort the run");
+    assert_eq!(killed.kind, ThreadedErrorKind::Killed);
+
+    let mut resume_policy = policy_at(&dir);
+    resume_policy.resume = true;
+    let resumed = run(
+        &graph,
+        &with_transients(resume_policy),
+        &Arc::new(Obs::wall()),
+    );
+    assert!(resumed.resumed_from.is_some(), "resume found no checkpoint");
+    assert_eq!(resumed.recovery.retries, base.recovery.retries);
+    assert_eq!(
+        resumed.recovery.faults_injected,
+        base.recovery.faults_injected
+    );
+    assert_bit_identical(&base, &resumed, "transients");
     std::fs::remove_dir_all(&dir).ok();
 }
 
