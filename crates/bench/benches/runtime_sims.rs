@@ -66,8 +66,9 @@ fn bench_global_queue(c: &mut Criterion) {
                 q.enqueue(i).expect("open queue");
             }
             let mut sum = 0u64;
-            while let Ok(Some(v)) = q.dequeue_timeout(std::time::Duration::ZERO) {
-                sum += *v;
+            while let Ok(Some(lease)) = q.dequeue_leased_timeout(0, std::time::Duration::ZERO) {
+                sum += *lease.task;
+                q.complete(lease.id);
             }
             sum
         });
@@ -88,8 +89,9 @@ fn bench_global_queue(c: &mut Criterion) {
                 })
             };
             let mut sum = 0u64;
-            while let Ok(v) = q.dequeue() {
-                sum += *v;
+            while let Ok(lease) = q.dequeue_leased(0) {
+                sum += *lease.task;
+                q.complete(lease.id);
             }
             producer.join().expect("producer");
             sum

@@ -136,9 +136,9 @@ fn no_lost_wakeup_across_close() {
     let report = check(cfg(2), || {
         let q = Arc::new(GlobalQueue::<u64>::bounded(2));
         let consumers: Vec<_> = (0..2)
-            .map(|_| {
+            .map(|owner| {
                 let q = Arc::clone(&q);
-                gnnlab_chk::thread::spawn(move || match q.dequeue() {
+                gnnlab_chk::thread::spawn(move || match q.dequeue_leased(owner) {
                     Err(DequeueError::Drained) => {}
                     other => panic!("expected Drained, got {other:?}"),
                 })
@@ -181,8 +181,8 @@ fn no_lost_wakeup_across_poison() {
             }
         });
         let consumer = gnnlab_chk::thread::spawn(move || loop {
-            match q_cons.dequeue() {
-                Ok(_) => {}
+            match q_cons.dequeue_leased(2) {
+                Ok(lease) => q_cons.complete(lease.id),
                 Err(DequeueError::Poisoned(reason)) => {
                     assert_eq!(reason, "executor 7 crashed");
                     return;
@@ -212,8 +212,11 @@ fn no_deadlock_at_capacity() {
         let consumer = gnnlab_chk::thread::spawn(move || {
             let mut got = Vec::new();
             loop {
-                match q_cons.dequeue() {
-                    Ok(task) => got.push(*task),
+                match q_cons.dequeue_leased(1) {
+                    Ok(lease) => {
+                        got.push(*lease.task);
+                        q_cons.complete(lease.id);
+                    }
                     Err(DequeueError::Drained) => return got,
                     Err(e) => panic!("unexpected {e:?}"),
                 }

@@ -3,9 +3,9 @@
 //! "GNNLab uses a global queue in the host memory to link two kinds of
 //! executors asynchronously … The concurrent queue would not be the
 //! bottleneck since the updates are infrequent." Samplers enqueue whole
-//! mini-batch samples; Trainers (and woken standby Trainers) dequeue
-//! them. The remaining-task count feeds the dynamic-switching profit
-//! metric (`M_r` in §5.3).
+//! mini-batch samples; Trainers (and woken standby Trainers) lease them.
+//! The remaining-task count feeds the dynamic-switching profit metric
+//! (`M_r` in §5.3).
 //!
 //! Unlike the seed's unbounded lock-free queue, this queue is
 //!
@@ -13,26 +13,27 @@
 //!   are waiting, so Samplers cannot race arbitrarily far ahead of
 //!   Trainers and blow up host memory (the decoupled-pipeline failure
 //!   mode BGL and NeutronOrch both call out);
-//! * **blocking** — [`GlobalQueue::dequeue`] sleeps on a condition
-//!   variable instead of making idle Trainers spin, waking on enqueue,
-//!   close, or poison (with a periodic timeout as a lost-wakeup safety
-//!   net);
+//! * **leased** — every consumer takes work through
+//!   [`GlobalQueue::dequeue_leased`] (or its `_timeout` / `_many`
+//!   variants), which hands out a [`Lease`] instead of moving the task
+//!   out: the queue keeps a reference until [`GlobalQueue::complete`]
+//!   confirms the batch trained. If the owning executor dies first, the
+//!   supervisor calls [`GlobalQueue::reclaim`] and the batch is
+//!   re-enqueued (at the front, so replays do not starve) rather than
+//!   lost — the replay half of the fault-tolerance story;
+//! * **blocking** — all three dequeue calls share one wait loop that
+//!   sleeps on a condition variable instead of making idle Trainers spin,
+//!   waking on enqueue, reclaim, close, poison or a final `complete`
+//!   (with a periodic timeout as a lost-wakeup safety net);
 //! * **closable** — the last Sampler calls [`GlobalQueue::close`];
 //!   blocked consumers drain what remains and then observe
-//!   [`DequeueError::Drained`];
+//!   [`DequeueError::Drained`], but only once *no leases remain
+//!   outstanding*, so a batch reclaimed at the last moment is still
+//!   trained;
 //! * **poisonable** — a crashed executor calls [`GlobalQueue::poison`];
 //!   every blocked producer and consumer wakes immediately with
 //!   [`EnqueueError::Poisoned`] / [`DequeueError::Poisoned`] so a panic
-//!   terminates the run in bounded time instead of deadlocking it;
-//! * **leasable** — [`GlobalQueue::dequeue_leased`] hands a consumer a
-//!   [`Lease`] instead of moving the task out: the queue keeps a
-//!   reference until [`GlobalQueue::complete`] confirms the batch
-//!   trained. If the owning executor dies first, the supervisor calls
-//!   [`GlobalQueue::reclaim`] and the batch is re-enqueued (at the
-//!   front, so replays do not starve) rather than lost — the replay
-//!   half of the fault-tolerance story. A closed queue only reports
-//!   [`DequeueError::Drained`] once *no leases remain outstanding*, so
-//!   a batch reclaimed at the last moment is still trained.
+//!   terminates the run in bounded time instead of deadlocking it.
 //!
 //! Occupancy counters live in an observability registry: a queue built
 //! with [`GlobalQueue::bounded_with_obs`] updates a `queue.depth` gauge
@@ -41,14 +42,14 @@
 //! `queue.enqueued`/`queue.dequeued` counters, a `queue.capacity` gauge,
 //! and `queue.blocked_ns` for time spent blocked on either side. The
 //! registry is telemetry only: several queues may share one hub and their
-//! counters merge there, so the accessors ([`GlobalQueue::total_enqueued`]
-//! and friends) read queue-local atomics instead of the registry.
+//! counters merge there, so [`GlobalQueue::peak_depth`] and
+//! [`GlobalQueue::blocked_ns`] read queue-local atomics instead.
 
 use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
 use gnnlab_obs::{names, Obs};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default capacity when none is given: deep enough to decouple bursts,
 /// shallow enough that a stalled Trainer back-pressures Samplers quickly.
@@ -67,7 +68,7 @@ pub enum EnqueueError {
     Poisoned(String),
 }
 
-/// Why a [`GlobalQueue::dequeue`] call returned no task.
+/// Why a [`GlobalQueue::dequeue_leased`] call returned no task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DequeueError {
     /// The queue was closed and every task has been consumed *and*
@@ -98,15 +99,12 @@ struct State<T> {
     poison: Option<String>,
 }
 
-/// This queue's own lifetime totals. The registry counters under the
-/// same names are *telemetry*: several queues sharing one [`Obs`] merge
-/// their traffic there, so the accessors ([`GlobalQueue::total_enqueued`]
-/// and friends) must never read them back — that double-counted a
-/// sibling queue's traffic.
+/// This queue's own peak depth and blocked time. The registry metrics are
+/// *telemetry*: several queues sharing one [`Obs`] merge their traffic
+/// there, so the accessors must never read them back — that
+/// double-counted a sibling queue's traffic.
 #[derive(Debug, Default)]
 struct LocalTotals {
-    enqueued: AtomicU64,
-    dequeued: AtomicU64,
     peak_depth: AtomicU64,
     blocked_ns: AtomicU64,
 }
@@ -124,19 +122,7 @@ pub struct GlobalQueue<T> {
     totals: LocalTotals,
 }
 
-impl<T> Default for GlobalQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> GlobalQueue<T> {
-    /// Creates an empty queue with [`DEFAULT_CAPACITY`] and a private
-    /// (wall-clock) registry.
-    pub fn new() -> Self {
-        Self::bounded(DEFAULT_CAPACITY)
-    }
-
     /// Creates an empty queue holding at most `capacity` tasks, with a
     /// private (wall-clock) registry.
     ///
@@ -171,12 +157,6 @@ impl<T> GlobalQueue<T> {
             obs,
             totals: LocalTotals::default(),
         }
-    }
-
-    /// Creates an empty queue with [`DEFAULT_CAPACITY`] publishing into a
-    /// shared observability hub.
-    pub fn with_obs(obs: Arc<Obs>) -> Self {
-        Self::bounded_with_obs(DEFAULT_CAPACITY, obs)
     }
 
     /// The configured capacity.
@@ -288,7 +268,6 @@ impl<T> GlobalQueue<T> {
     /// Publishes counters for one enqueue flush of `n` tasks and wakes
     /// consumers (one per task admitted; a full `notify_all` for bursts).
     fn flush_enqueued(&self, n: u64, depth: usize) {
-        self.totals.enqueued.fetch_add(n, Ordering::Relaxed);
         self.obs
             .metrics
             .counter_add(names::QUEUE_ENQUEUED, n as f64);
@@ -300,30 +279,20 @@ impl<T> GlobalQueue<T> {
         }
     }
 
-    /// Dequeues a task (Trainer side), blocking while the queue is empty
-    /// but still open. Returns [`DequeueError::Drained`] once the queue is
+    /// Leases one task to executor `owner` (Trainer side), blocking while
+    /// the queue is empty but still open. The queue keeps a reference
+    /// until [`GlobalQueue::complete`] confirms it, so the supervisor can
+    /// [`GlobalQueue::reclaim`] and replay the batch if the owner dies
+    /// mid-flight. Returns [`DequeueError::Drained`] once the queue is
     /// closed, empty and lease-free, or [`DequeueError::Poisoned`] as soon
-    /// as an executor crash is flagged. The task is *not* leased: the
-    /// queue forgets it immediately (no crash replay).
-    pub fn dequeue(&self) -> Result<Arc<T>, DequeueError> {
-        self.dequeue_deadline(None, None)
-            .map(|opt| gnnlab_par::invariant!(opt, "a deadline-free dequeue never times out").task)
-    }
-
-    /// [`GlobalQueue::dequeue`] with a timeout: returns `Ok(None)` if no
-    /// task arrived (and the queue neither drained nor poisoned) within
-    /// `timeout`.
-    pub fn dequeue_timeout(&self, timeout: Duration) -> Result<Option<Arc<T>>, DequeueError> {
-        Ok(self.dequeue_deadline(Some(timeout), None)?.map(|l| l.task))
-    }
-
-    /// Dequeues a task under lease for executor `owner`: the queue keeps a
-    /// reference until [`GlobalQueue::complete`] confirms it, so the
-    /// supervisor can [`GlobalQueue::reclaim`] and replay the batch if the
-    /// owner dies mid-flight.
+    /// as an executor crash is flagged.
     pub fn dequeue_leased(&self, owner: u32) -> Result<Lease<T>, DequeueError> {
-        self.dequeue_deadline(None, Some(owner))
-            .map(|opt| gnnlab_par::invariant!(opt, "a deadline-free dequeue never times out"))
+        let mut got = None;
+        self.lease_wait(owner, 1, None, |lease| got = Some(lease))?;
+        Ok(gnnlab_par::invariant!(
+            got,
+            "a deadline-free dequeue never times out"
+        ))
     }
 
     /// [`GlobalQueue::dequeue_leased`] with a timeout: returns `Ok(None)`
@@ -336,121 +305,71 @@ impl<T> GlobalQueue<T> {
         owner: u32,
         timeout: Duration,
     ) -> Result<Option<Lease<T>>, DequeueError> {
-        self.dequeue_deadline(Some(timeout), Some(owner))
+        let mut got = None;
+        self.lease_wait(owner, 1, Some(timeout), |lease| got = Some(lease))?;
+        Ok(got)
     }
 
     /// Dequeues up to `max` tasks under lease for `owner` with **one**
     /// lock/condvar round-trip: blocks like [`GlobalQueue::dequeue_leased`]
     /// until at least one task (or a terminal state) is available, then
-    /// drains up to `max` in FIFO order. The pipelined consumer uses this
-    /// to fill its train slot and prefetch slot together.
+    /// drains up to `max` in FIFO order.
     pub fn dequeue_leased_many(
         &self,
         owner: u32,
         max: usize,
     ) -> Result<Vec<Lease<T>>, DequeueError> {
         assert!(max > 0, "dequeue_leased_many needs a positive max");
-        let mut state = self.state.lock();
-        let mut blocked_since: Option<u64> = None;
-        let finish_blocked = |blocked_since: Option<u64>| {
-            if let Some(t0) = blocked_since {
-                self.note_blocked(names::QUEUE_WAIT_NS, self.obs.now_ns().saturating_sub(t0));
-            }
-        };
-        loop {
-            if let Some(reason) = &state.poison {
-                let reason = reason.clone();
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Poisoned(reason));
-            }
-            if !state.items.is_empty() {
-                let mut leases = Vec::with_capacity(max.min(state.items.len()));
-                while leases.len() < max {
-                    let Some((id, task)) = state.items.pop_front() else {
-                        break;
-                    };
-                    state.leased.insert(id, (owner, Arc::clone(&task)));
-                    leases.push(Lease { id, task });
-                }
-                let depth = state.items.len();
-                drop(state);
-                let n = leases.len() as u64;
-                self.totals.dequeued.fetch_add(n, Ordering::Relaxed);
-                self.obs
-                    .metrics
-                    .counter_add(names::QUEUE_DEQUEUED, n as f64);
-                self.note_depth(depth);
-                finish_blocked(blocked_since);
-                if n == 1 {
-                    self.not_full.notify_one();
-                } else {
-                    self.not_full.notify_all();
-                }
-                return Ok(leases);
-            }
-            if state.closed && state.leased.is_empty() {
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Drained);
-            }
-            blocked_since.get_or_insert_with(|| self.obs.now_ns());
-            self.not_empty.wait_for(&mut state, WAIT_SLICE);
-        }
+        let mut leases = Vec::new();
+        self.lease_wait(owner, max, None, |lease| leases.push(lease))?;
+        Ok(leases)
     }
 
-    fn dequeue_deadline(
+    /// The one consumer-side wait loop: fail on poison, else lease up to
+    /// `max` waiting tasks to `owner` (each handed to `sink`), else report
+    /// `Drained` once closed and lease-free, else sleep on `not_empty`.
+    /// Returns how many tasks were leased; 0 only when `timeout` expired.
+    fn lease_wait(
         &self,
+        owner: u32,
+        max: usize,
         timeout: Option<Duration>,
-        lease_to: Option<u32>,
-    ) -> Result<Option<Lease<T>>, DequeueError> {
-        // The deadline is computed once, before the first wait: every
-        // wakeup (including spurious ones) re-checks against this fixed
-        // instant, so no amount of condvar churn can extend the total
-        // wait past `timeout`. An unrepresentable deadline (overflow)
-        // degrades to "no timeout".
-        let deadline = timeout.and_then(|t| std::time::Instant::now().checked_add(t));
-        let mut state = self.state.lock();
+        mut sink: impl FnMut(Lease<T>),
+    ) -> Result<usize, DequeueError> {
+        // The deadline is fixed once, before the first wait, so wakeup
+        // churn cannot stretch the total wait past `timeout`. The clock is
+        // read only when a timeout is given, which keeps the deadline-free
+        // calls deterministic under the model checker. An unrepresentable
+        // deadline (overflow) degrades to "no timeout".
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let mut blocked_since: Option<u64> = None;
-        let finish_blocked = |blocked_since: Option<u64>| {
-            if let Some(t0) = blocked_since {
-                self.note_blocked(names::QUEUE_WAIT_NS, self.obs.now_ns().saturating_sub(t0));
-            }
-        };
-        loop {
+        let mut state = self.state.lock();
+        let outcome = loop {
             if let Some(reason) = &state.poison {
-                let reason = reason.clone();
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Poisoned(reason));
+                break Err(DequeueError::Poisoned(reason.clone()));
             }
-            if let Some((id, task)) = state.items.pop_front() {
-                if let Some(owner) = lease_to {
-                    state.leased.insert(id, (owner, Arc::clone(&task)));
-                }
-                let depth = state.items.len();
-                drop(state);
-                self.totals.dequeued.fetch_add(1, Ordering::Relaxed);
-                self.obs.metrics.counter_inc(names::QUEUE_DEQUEUED);
-                self.note_depth(depth);
-                finish_blocked(blocked_since);
-                self.not_full.notify_one();
-                return Ok(Some(Lease { id, task }));
+            let mut n = 0;
+            while n < max {
+                let Some((id, task)) = state.items.pop_front() else {
+                    break;
+                };
+                state.leased.insert(id, (owner, Arc::clone(&task)));
+                sink(Lease { id, task });
+                n += 1;
+            }
+            if n > 0 {
+                break Ok(n);
             }
             // Drained only once closed *and* every lease has resolved:
             // an outstanding lease may yet be reclaimed and replayed.
             if state.closed && state.leased.is_empty() {
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Drained);
+                break Err(DequeueError::Drained);
             }
             let slice = match deadline {
                 Some(d) => {
-                    let left = d.saturating_duration_since(std::time::Instant::now());
+                    let left = d.saturating_duration_since(Instant::now());
                     if left.is_zero() {
-                        drop(state);
-                        finish_blocked(blocked_since);
-                        return Ok(None);
+                        break Ok(0);
                     }
                     left.min(WAIT_SLICE)
                 }
@@ -458,7 +377,24 @@ impl<T> GlobalQueue<T> {
             };
             blocked_since.get_or_insert_with(|| self.obs.now_ns());
             self.not_empty.wait_for(&mut state, slice);
+        };
+        let depth = state.items.len();
+        drop(state);
+        if let Some(t0) = blocked_since {
+            self.note_blocked(names::QUEUE_WAIT_NS, self.obs.now_ns().saturating_sub(t0));
         }
+        if let Ok(n @ 1..) = outcome {
+            self.obs
+                .metrics
+                .counter_add(names::QUEUE_DEQUEUED, n as f64);
+            self.note_depth(depth);
+            if n == 1 {
+                self.not_full.notify_one();
+            } else {
+                self.not_full.notify_all();
+            }
+        }
+        outcome
     }
 
     /// Confirms a leased task trained: the queue drops its reference. A
@@ -552,19 +488,6 @@ impl<T> GlobalQueue<T> {
         self.state.lock().items.len()
     }
 
-    /// Total tasks ever enqueued *into this queue*. Backed by a
-    /// queue-local atomic — the registry counter of the same name is
-    /// shared telemetry and may include sibling queues' traffic.
-    pub fn total_enqueued(&self) -> usize {
-        self.totals.enqueued.load(Ordering::Relaxed) as usize
-    }
-
-    /// Total tasks ever dequeued from this queue (queue-local; see
-    /// [`GlobalQueue::total_enqueued`]).
-    pub fn total_dequeued(&self) -> usize {
-        self.totals.dequeued.load(Ordering::Relaxed) as usize
-    }
-
     /// Largest depth this queue ever reached (queue-local; the shared
     /// `queue.depth` gauge may mix sibling queues).
     pub fn peak_depth(&self) -> usize {
@@ -572,25 +495,23 @@ impl<T> GlobalQueue<T> {
     }
 
     /// Total nanoseconds producers and consumers spent blocked on this
-    /// queue (queue-local; see [`GlobalQueue::total_enqueued`]).
+    /// queue (queue-local; the shared `queue.blocked_ns` counter may mix
+    /// sibling queues).
     pub fn blocked_ns(&self) -> u64 {
         self.totals.blocked_ns.load(Ordering::Relaxed)
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.state.lock().items.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
-    /// `dequeue` unwrapped to the task value, for value assertions.
+    /// Leases one task to owner 0 and confirms it at once, returning the
+    /// task value for assertions.
     fn deq<T: Copy>(q: &GlobalQueue<T>) -> Result<T, DequeueError> {
-        q.dequeue().map(|t| *t)
+        let lease = q.dequeue_leased(0)?;
+        q.complete(lease.id);
+        Ok(*lease.task)
     }
 
     #[test]
@@ -604,11 +525,11 @@ mod tests {
             assert_eq!(deq(&q), Ok(i));
         }
         assert!(q
-            .dequeue_timeout(Duration::from_millis(1))
+            .dequeue_leased_timeout(0, Duration::from_millis(1))
             .unwrap()
             .is_none());
-        assert_eq!(q.total_enqueued(), 10);
-        assert_eq!(q.total_dequeued(), 10);
+        assert_eq!(q.obs.metrics.counter("queue.enqueued"), 10.0);
+        assert_eq!(q.obs.metrics.counter("queue.dequeued"), 10.0);
         assert_eq!(q.peak_depth(), 10);
         assert_eq!(q.capacity(), 16);
     }
@@ -629,12 +550,13 @@ mod tests {
             })
             .collect();
         let consumers: Vec<_> = (0..4)
-            .map(|_| {
+            .map(|c| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Ok(v) = q.dequeue() {
-                        got.push(*v);
+                    while let Ok(lease) = q.dequeue_leased(c) {
+                        got.push(*lease.task);
+                        q.complete(lease.id);
                     }
                     got
                 })
@@ -661,15 +583,15 @@ mod tests {
 
     #[test]
     fn remaining_tracks_occupancy() {
-        let q = GlobalQueue::new();
+        let q = GlobalQueue::bounded(DEFAULT_CAPACITY);
         q.enqueue(1).unwrap();
         q.enqueue(2).unwrap();
         assert_eq!(q.remaining(), 2);
-        q.dequeue().unwrap();
-        assert_eq!(q.remaining(), 1);
-        assert!(!q.is_empty());
-        q.dequeue().unwrap();
-        assert!(q.is_empty());
+        let lease = q.dequeue_leased(0).unwrap();
+        assert_eq!(q.remaining(), 1, "a leased task is in flight, not waiting");
+        q.complete(lease.id);
+        deq(&q).unwrap();
+        assert_eq!(q.remaining(), 0);
     }
 
     #[test]
@@ -678,7 +600,7 @@ mod tests {
         let q = GlobalQueue::bounded_with_obs(32, Arc::clone(&obs));
         q.enqueue("a").unwrap();
         q.enqueue("b").unwrap();
-        q.dequeue().unwrap();
+        deq(&q).unwrap();
         assert_eq!(obs.metrics.counter("queue.enqueued"), 2.0);
         assert_eq!(obs.metrics.counter("queue.dequeued"), 1.0);
         // Depth is gauge-only on the hot path: last value and exact peak,
@@ -705,18 +627,26 @@ mod tests {
         for i in 0..3 {
             b.enqueue(i).unwrap();
         }
-        a.dequeue().unwrap();
-        a.dequeue().unwrap();
-        b.dequeue().unwrap();
-        assert_eq!(a.total_enqueued(), 5);
-        assert_eq!(b.total_enqueued(), 3);
-        assert_eq!(a.total_dequeued(), 2);
-        assert_eq!(b.total_dequeued(), 1);
+        for _ in 0..5 {
+            deq(&a).unwrap();
+        }
+        deq(&b).unwrap();
+        // Only `a` ever waits: one timed dequeue on its now-empty queue.
+        assert!(a
+            .dequeue_leased_timeout(0, Duration::from_millis(5))
+            .unwrap()
+            .is_none());
         assert_eq!(a.peak_depth(), 5);
         assert_eq!(b.peak_depth(), 3);
+        assert!(a.blocked_ns() > 0, "a's wait went unaccounted");
+        assert_eq!(b.blocked_ns(), 0, "b never blocked");
+        assert_eq!(
+            obs.metrics.counter("queue.blocked_ns"),
+            a.blocked_ns() as f64
+        );
         // The registry still carries the merged telemetry view.
         assert_eq!(obs.metrics.counter("queue.enqueued"), 8.0);
-        assert_eq!(obs.metrics.counter("queue.dequeued"), 3.0);
+        assert_eq!(obs.metrics.counter("queue.dequeued"), 6.0);
     }
 
     /// Satellite regression: a million enqueue/dequeues stay within the
@@ -729,7 +659,7 @@ mod tests {
         let q = GlobalQueue::bounded_with_obs(16, Arc::clone(&obs));
         for i in 0..500_000u64 {
             q.enqueue(i).unwrap();
-            q.dequeue().unwrap();
+            deq(&q).unwrap();
         }
         let cap = obs.metrics.series_cap();
         assert!(
@@ -746,7 +676,7 @@ mod tests {
         let q = Arc::new(GlobalQueue::bounded(4));
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.enqueue(7).unwrap();
@@ -760,7 +690,7 @@ mod tests {
         let q: Arc<GlobalQueue<u32>> = Arc::new(GlobalQueue::bounded(4));
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.close();
@@ -831,7 +761,7 @@ mod tests {
         let q: Arc<GlobalQueue<i32>> = Arc::new(GlobalQueue::bounded(1));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.poison("sampler 0 panicked");
@@ -839,17 +769,6 @@ mod tests {
             consumer.join().unwrap(),
             Err(DequeueError::Poisoned("sampler 0 panicked".into()))
         );
-    }
-
-    #[test]
-    fn dequeue_timeout_returns_none_without_producers() {
-        let q: GlobalQueue<u8> = GlobalQueue::bounded(1);
-        let started = Instant::now();
-        assert!(q
-            .dequeue_timeout(Duration::from_millis(30))
-            .unwrap()
-            .is_none());
-        assert!(started.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]
@@ -864,7 +783,7 @@ mod tests {
     fn enqueue_many_preserves_fifo_and_counts_one_flush() {
         let q = GlobalQueue::bounded(16);
         q.enqueue_many(0..10).unwrap();
-        assert_eq!(q.total_enqueued(), 10);
+        assert_eq!(q.obs.metrics.counter("queue.enqueued"), 10.0);
         assert_eq!(q.remaining(), 10);
         for i in 0..10 {
             assert_eq!(deq(&q), Ok(i));
@@ -960,7 +879,9 @@ mod tests {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         q.enqueue(1).unwrap();
-                        let _ = q.dequeue_timeout(Duration::ZERO);
+                        if let Ok(Some(lease)) = q.dequeue_leased_timeout(1, Duration::ZERO) {
+                            q.complete(lease.id);
+                        }
                     }
                 })
             })
@@ -969,7 +890,7 @@ mod tests {
         // 130ms crosses several WAIT_SLICE windows; whatever the waiter
         // observes (a stolen task or None), it must be back by then plus
         // scheduling slack.
-        let _ = q.dequeue_timeout(Duration::from_millis(130));
+        let _ = q.dequeue_leased_timeout(0, Duration::from_millis(130));
         let elapsed = started.elapsed();
         stop.store(true, Ordering::Relaxed);
         for t in churners {
@@ -1032,7 +953,7 @@ mod tests {
         assert_eq!(q.reclaim(1), 2);
         assert_eq!(q.leased_count(), 1, "owner 0's lease must survive");
         // Replays come back before the fresh task 3 (front re-enqueue).
-        let replayed: Vec<i32> = (0..2).map(|_| *q.dequeue().unwrap()).collect();
+        let replayed: Vec<i32> = (0..2).map(|_| deq(&q).unwrap()).collect();
         let mut sorted = replayed.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 2]);
@@ -1054,7 +975,7 @@ mod tests {
         let leases = q.dequeue_leased_many(4, 3).unwrap(); // tasks 0, 1, 2
         assert_eq!(leases.len(), 3);
         assert_eq!(q.reclaim(4), 3);
-        let replayed: Vec<i32> = (0..6).map(|_| *q.dequeue().unwrap()).collect();
+        let replayed: Vec<i32> = (0..6).map(|_| deq(&q).unwrap()).collect();
         assert_eq!(replayed, vec![0, 1, 2, 3, 4, 5], "replay broke FIFO order");
     }
 
@@ -1069,7 +990,7 @@ mod tests {
         q.close();
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         // Still blocked: closed but one lease outstanding.
@@ -1088,7 +1009,7 @@ mod tests {
         q.close();
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.complete(lease.id);

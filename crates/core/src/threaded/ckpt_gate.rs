@@ -1,5 +1,5 @@
 use super::params::ParamServer;
-use super::{RecoveryReport, Shared, ThreadedError, ThreadedErrorKind};
+use super::{Shared, ThreadedError, ThreadedErrorKind};
 use crate::checkpoint::{
     self, CheckpointError, CheckpointMeta, CheckpointPolicy, CheckpointState, RngCursor,
     SchedSnapshot,
@@ -280,21 +280,8 @@ impl Shared<'_> {
                 next_batch: cursor % bpe,
             },
             cursor,
-            recovery: self.recovery_snapshot(),
+            recovery: *self.recovery.lock(),
             history,
-        }
-    }
-
-    /// The cumulative recovery report as of now (also the end-of-run
-    /// report).
-    pub(super) fn recovery_snapshot(&self) -> RecoveryReport {
-        RecoveryReport {
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            replayed_batches: self.replayed.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            reassignments: self.reassignments.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            downtime_ns: self.downtime_ns.load(Ordering::Relaxed),
         }
     }
 
@@ -378,18 +365,7 @@ impl Shared<'_> {
         self.stats.t_train.set(state.sched.t_train);
         self.stats.t_standby.set(state.sched.t_standby);
         self.refresh_secs.set(state.sched.refresh_secs);
-        self.faults_injected
-            .store(state.recovery.faults_injected, Ordering::Relaxed);
-        self.replayed
-            .store(state.recovery.replayed_batches, Ordering::Relaxed);
-        self.respawns
-            .store(state.recovery.respawns, Ordering::Relaxed);
-        self.reassignments
-            .store(state.recovery.reassignments, Ordering::Relaxed);
-        self.retries
-            .store(state.recovery.retries, Ordering::Relaxed);
-        self.downtime_ns
-            .store(state.recovery.downtime_ns, Ordering::Relaxed);
+        *self.recovery.lock() = state.recovery;
         *self.history.lock() = state.history;
         if let Some(c) = &self.ckpt {
             c.generation.store(generation + 1, Ordering::Relaxed);

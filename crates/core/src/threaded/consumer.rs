@@ -1,8 +1,8 @@
 use super::ckpt_gate::CKPT_POLL;
 use super::params::{pull_params, push_grads};
 use super::{
-    stream_seed, ExecutorCacheReport, Shared, StreamRole, ThreadedError, ThreadedErrorKind,
-    TrainTask, EWMA_ALPHA,
+    ewma_step, stream_seed, ExecutorCacheReport, Shared, StreamRole, ThreadedError,
+    ThreadedErrorKind, TrainTask,
 };
 use crate::checkpoint::BatchRecord;
 use crate::faults::ExecutorRole;
@@ -359,7 +359,7 @@ fn consume_loop(
                 ));
             }
             sh.note_fault();
-            sh.retries.fetch_add(1, Ordering::Relaxed);
+            sh.recovery.lock().retries += 1;
             obs.metrics.counter_inc(names::RETRY_ATTEMPTS);
             let backoff = cfg.faults.backoff(attempt, task.id);
             obs.metrics
@@ -443,7 +443,7 @@ fn consume_loop(
             secs *= slowdown;
         }
         sh.stats.update(cell, series, secs, obs);
-        let est = my_ewma.map_or(secs, |prev| prev + EWMA_ALPHA * (secs - prev));
+        let est = ewma_step(my_ewma, secs);
         my_ewma = Some(est);
         obs.metrics.gauge_set(&ewma_gauge, est);
         // Stream this executor's own hit/miss deltas so the low-hit-rate

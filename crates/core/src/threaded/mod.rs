@@ -320,7 +320,10 @@ pub struct ThreadedResult {
     pub samples_produced: usize,
     /// Final test accuracy of the shared model.
     pub final_accuracy: f64,
-    /// Largest queue backlog observed; capped by the queue capacity.
+    /// Largest queue backlog observed. Enqueues never exceed the queue
+    /// capacity, but a crash replay re-enqueues past it: the bound is the
+    /// capacity plus the dead consumers' leases (up to one per crash at
+    /// pipeline depth 0, two at depth 1).
     pub peak_queue_depth: usize,
     /// Aggregate cache hit rate across every executor-owned store.
     pub cache_hit_rate: f64,
@@ -401,6 +404,12 @@ fn stream_seed(seed: u64, role: StreamRole, index: u64) -> u64 {
 /// EWMA smoothing factor for the live stage-time estimates.
 const EWMA_ALPHA: f64 = 0.2;
 
+/// One EWMA step: folds observation `x` into the estimate `prev` (the
+/// first observation is taken as is).
+fn ewma_step(prev: Option<f64>, x: f64) -> f64 {
+    prev.map_or(x, |p| p + EWMA_ALPHA * (x - p))
+}
+
 /// A lock-free EWMA cell (f64 bits in an atomic; NaN = no samples yet).
 #[derive(Debug)]
 struct AtomicEwma(AtomicU64);
@@ -422,11 +431,7 @@ impl AtomicEwma {
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
             let old = f64::from_bits(cur);
-            let new = if old.is_nan() {
-                x
-            } else {
-                old + EWMA_ALPHA * (x - old)
-            };
+            let new = ewma_step((!old.is_nan()).then_some(old), x);
             match self.0.compare_exchange_weak(
                 cur,
                 new.to_bits(),
@@ -529,6 +534,15 @@ fn planned_miss_ratio(hotness: Option<&Vec<f64>>, trainer_rows: usize, standby_r
     ((1.0 + miss_s) / (1.0 + miss_t)).max(1.0)
 }
 
+/// Builds a cache table of the `rows` hottest of `n` vertices: one
+/// executor's planned store, or the Samplers' mark table.
+fn plan_table(hotness: Option<&Vec<f64>>, rows: usize, n: usize) -> CacheTable {
+    match hotness {
+        Some(h) if rows > 0 => load_cache_topk(h, rows, n),
+        _ => CacheTable::empty(n),
+    }
+}
+
 /// Renders a caught panic payload as text.
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -606,14 +620,9 @@ struct Shared<'a> {
     /// Checkpoint runtime; `None` when the policy is disabled (executors
     /// then run the exact pre-checkpoint code paths).
     ckpt: Option<CkptRuntime>,
-    // Recovery accounting.
     respawns_used: AtomicUsize,
-    faults_injected: AtomicUsize,
-    replayed: AtomicUsize,
-    respawns: AtomicUsize,
-    reassignments: AtomicUsize,
-    retries: AtomicUsize,
-    downtime_ns: AtomicU64,
+    /// The run's recovery accounting; only fault paths touch it.
+    recovery: Mutex<RecoveryReport>,
 }
 
 impl Shared<'_> {
@@ -642,7 +651,7 @@ impl Shared<'_> {
 
     /// Counts one injected fault.
     fn note_fault(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
+        self.recovery.lock().faults_injected += 1;
         self.obs.metrics.counter_inc(names::FAULTS_INJECTED);
     }
 
@@ -666,19 +675,10 @@ impl Shared<'_> {
         // Recovery is fast enough that a coarse clock can read 0; floor at
         // 1ns so "downtime was accounted" stays observable.
         let ns = (elapsed.as_nanos() as u64).max(1);
-        self.downtime_ns.fetch_add(ns, Ordering::Relaxed);
+        self.recovery.lock().downtime_ns += ns;
         self.obs
             .metrics
             .counter_add(names::RECOVERY_DOWNTIME_NS, ns as f64);
-    }
-
-    /// Builds one executor's cache table at its planned row budget.
-    fn plan_table(&self, rows: usize) -> CacheTable {
-        let n = self.graph.csr.num_vertices();
-        match &self.hotness {
-            Some(h) if rows > 0 => load_cache_topk(h, rows, n),
-            _ => CacheTable::empty(n),
-        }
     }
 
     /// The span-instrumented cache-refresh stage: fills a fresh
@@ -687,7 +687,7 @@ impl Shared<'_> {
     /// refresh EWMA that amortizes into the `T_t'` seed. Returns the
     /// store and its measured refresh nanoseconds.
     fn build_store(&self, rows: usize, device: u32, role: Executor) -> (CachedFeatureStore, u64) {
-        let table = self.plan_table(rows);
+        let table = plan_table(self.hotness.as_ref(), rows, self.graph.csr.num_vertices());
         let started = Instant::now();
         let store = {
             let _g = self
@@ -818,10 +818,7 @@ pub fn run_threaded_obs(
     let hotness = build_hotness(graph, &train_set, kind, cfg, &plan, &pool);
     let standby_miss_ratio =
         planned_miss_ratio(hotness.as_ref(), plan.trainer_rows, plan.standby_rows);
-    let mark_table = match &hotness {
-        Some(h) if plan.trainer_rows > 0 => load_cache_topk(h, plan.trainer_rows, n),
-        _ => CacheTable::empty(n),
-    };
+    let mark_table = plan_table(hotness.as_ref(), plan.trainer_rows, n);
     let host_store = Arc::new(FeatureStore::materialized(
         n,
         graph.feat_dim,
@@ -879,12 +876,7 @@ pub fn run_threaded_obs(
             .enabled()
             .then(|| CkptRuntime::new(cfg.checkpoint.clone(), batches_per_epoch, 0)),
         respawns_used: AtomicUsize::new(0),
-        faults_injected: AtomicUsize::new(0),
-        replayed: AtomicUsize::new(0),
-        respawns: AtomicUsize::new(0),
-        reassignments: AtomicUsize::new(0),
-        retries: AtomicUsize::new(0),
-        downtime_ns: AtomicU64::new(0),
+        recovery: Mutex::new(RecoveryReport::default()),
     };
 
     // Resume before any executor exists: pick the latest valid generation
@@ -937,7 +929,7 @@ pub fn run_threaded_obs(
     let eval_fill_started = Instant::now();
     let (eval_store, _) = CachedFeatureStore::shared_with_pool(
         Arc::clone(&shared.host_store),
-        shared.plan_table(shared.plan.trainer_rows),
+        plan_table(shared.hotness.as_ref(), shared.plan.trainer_rows, n),
         Arc::clone(&shared.pool),
     );
     let eval_refresh_ns = (eval_fill_started.elapsed().as_nanos() as u64).max(1);
@@ -985,6 +977,7 @@ pub fn run_threaded_obs(
     telemetry.stop();
     let mut history = std::mem::take(&mut *shared.history.lock());
     history.sort_by_key(|r| r.id);
+    let recovery = *shared.recovery.lock();
     // The master's flattened parameters, in stable layer order — the
     // chaos harness compares these bit-for-bit across kill–resume runs.
     let final_params: Vec<f32> = {
@@ -1009,7 +1002,7 @@ pub fn run_threaded_obs(
         caches,
         switches: shared.switches.load(Ordering::Relaxed),
         queue_blocked_ns: shared.queue.blocked_ns(),
-        recovery: shared.recovery_snapshot(),
+        recovery,
         history,
         final_params,
         checkpoints_written: shared

@@ -1,4 +1,4 @@
-use super::{Shared, TrainTask, EWMA_ALPHA};
+use super::{ewma_step, Shared, TrainTask};
 use crate::faults::ExecutorRole;
 use crate::sync::Ordering;
 use crate::train_real::sampler_for;
@@ -190,7 +190,7 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
                 secs,
                 obs,
             );
-            let est = my_ewma.map_or(secs, |prev| prev + EWMA_ALPHA * (secs - prev));
+            let est = ewma_step(my_ewma, secs);
             my_ewma = Some(est);
             obs.metrics.gauge_set(&ewma_gauge, est);
             let labels = batch.iter().map(|&v| sh.graph.labels[v as usize]).collect();

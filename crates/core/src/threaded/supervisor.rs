@@ -1,6 +1,6 @@
 use super::consumer::{standby_phase, trainer_phase};
 use super::sampler::sampler_phase;
-use super::Shared;
+use super::{Shared, ThreadedError};
 use crate::sync::Ordering;
 use gnnlab_obs::names;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,16 +32,8 @@ pub(super) fn spawn_sampler<'scope, 'env>(
             return;
         }
         if sh.cfg.dynamic_switching {
-            match catch_unwind(AssertUnwindSafe(|| standby_phase(sh, slot, exec))) {
-                Ok(Ok(())) => {
-                    sh.consuming.lock().remove(&exec);
-                }
-                Ok(Err(fatal)) => {
-                    sh.consuming.lock().remove(&exec);
-                    sh.fail_fatal(fatal);
-                }
-                Err(payload) => on_consumer_crash(scope, sh, slot, exec, payload, true),
-            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| standby_phase(sh, slot, exec)));
+            on_consumer_exit(scope, sh, slot, exec, outcome, true);
         }
         sh.ckpt_exit();
     });
@@ -58,18 +50,29 @@ pub(super) fn spawn_trainer<'scope, 'env>(
     sh.consuming.lock().insert(exec);
     sh.ckpt_enter();
     scope.spawn(move || {
-        match catch_unwind(AssertUnwindSafe(|| trainer_phase(sh, slot, exec))) {
-            Ok(Ok(())) => {
-                sh.consuming.lock().remove(&exec);
-            }
-            Ok(Err(fatal)) => {
-                sh.consuming.lock().remove(&exec);
-                sh.fail_fatal(fatal);
-            }
-            Err(payload) => on_consumer_crash(scope, sh, slot, exec, payload, false),
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| trainer_phase(sh, slot, exec)));
+        on_consumer_exit(scope, sh, slot, exec, outcome, false);
         sh.ckpt_exit();
     });
+}
+
+/// The one exit path of a consumer phase (a Trainer, or a Sampler's
+/// standby half): leave the consuming set, then fail the run on a fatal
+/// error or hand a panic to [`on_consumer_crash`].
+fn on_consumer_exit<'scope, 'env>(
+    scope: &'scope Scope<'scope, 'env>,
+    sh: &'env Shared<'env>,
+    slot: usize,
+    exec: usize,
+    outcome: std::thread::Result<Result<(), ThreadedError>>,
+    standby: bool,
+) {
+    sh.consuming.lock().remove(&exec);
+    match outcome {
+        Ok(Ok(())) => {}
+        Ok(Err(fatal)) => sh.fail_fatal(fatal),
+        Err(payload) => on_consumer_crash(scope, sh, slot, exec, payload, standby),
+    }
 }
 
 /// The supervisor's handler for a dead Sampler: orphan its in-flight
@@ -100,7 +103,7 @@ fn on_sampler_crash<'scope, 'env>(
     let close = book.should_close();
     drop(book);
     if orphaned > 0 {
-        sh.replayed.fetch_add(orphaned, Ordering::Relaxed);
+        sh.recovery.lock().replayed_batches += orphaned;
         sh.obs
             .metrics
             .counter_add(names::RECOVERY_REPLAYED_BATCHES, orphaned as f64);
@@ -111,12 +114,12 @@ fn on_sampler_crash<'scope, 'env>(
     }
     if work_remains && peers_sampling == 0 {
         // Nobody left to re-sample the orphans or advance the cursor.
-        sh.respawns.fetch_add(1, Ordering::Relaxed);
+        sh.recovery.lock().respawns += 1;
         sh.obs.metrics.counter_inc(names::RECOVERY_RESPAWNS);
         spawn_sampler(scope, sh, slot);
     } else {
         // Survivors absorb the role through the shared claim book.
-        sh.reassignments.fetch_add(1, Ordering::Relaxed);
+        sh.recovery.lock().reassignments += 1;
         sh.obs.metrics.counter_inc(names::RECOVERY_REASSIGNMENTS);
         if close {
             sh.queue.close();
@@ -126,9 +129,9 @@ fn on_sampler_crash<'scope, 'env>(
 }
 
 /// The supervisor's handler for a dead consumer (Trainer or switched
-/// standby): reclaim its leases so survivors replay the batches, then —
-/// budget permitting — respawn the slot or reassign per the allocation
-/// rule on live stage-time estimates.
+/// standby), already out of the consuming set: reclaim its leases so
+/// survivors replay the batches, then — budget permitting — respawn the
+/// slot or reassign per the allocation rule on live stage-time estimates.
 fn on_consumer_crash<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     sh: &'env Shared<'env>,
@@ -138,11 +141,10 @@ fn on_consumer_crash<'scope, 'env>(
     standby: bool,
 ) {
     let started = Instant::now();
-    sh.consuming.lock().remove(&exec);
     // The queue re-enqueues the dead consumer's leases at the front and
     // publishes `recovery.replayed_batches` itself.
     let replayed = sh.queue.reclaim(exec as u32);
-    sh.replayed.fetch_add(replayed, Ordering::Relaxed);
+    sh.recovery.lock().replayed_batches += replayed;
     let who = if standby {
         format!("Standby {slot}")
     } else {
@@ -163,11 +165,11 @@ fn on_consumer_crash<'scope, 'env>(
             survivors < sh.ideal_trainers(n_g)
         });
     if respawn {
-        sh.respawns.fetch_add(1, Ordering::Relaxed);
+        sh.recovery.lock().respawns += 1;
         sh.obs.metrics.counter_inc(names::RECOVERY_RESPAWNS);
         spawn_trainer(scope, sh, slot);
     } else {
-        sh.reassignments.fetch_add(1, Ordering::Relaxed);
+        sh.recovery.lock().reassignments += 1;
         sh.obs.metrics.counter_inc(names::RECOVERY_REASSIGNMENTS);
     }
     sh.note_downtime(started.elapsed());

@@ -375,7 +375,7 @@ fn looks_like_metric_name(s: &str) -> bool {
     // At least two dot-segments, the first being a word ("queue",
     // "alerts", …). Filters out file extensions and version numbers.
     let segs: Vec<&str> = s.split('.').collect();
-    if segs.len() < 2 || segs.iter().any(|seg| seg.is_empty() && *seg != "") {
+    if segs.len() < 2 || segs.iter().any(|seg| seg.is_empty()) {
         return false;
     }
     let known_ext = [
@@ -748,6 +748,14 @@ mod tests {
         assert!(!looks_like_metric_name("a/b.rs"));
         assert!(!looks_like_metric_name("Some.Thing"));
         assert!(!looks_like_metric_name("x"));
+    }
+
+    /// A string with an empty dot-segment is a prefix or a typo, not a
+    /// metric name.
+    #[test]
+    fn empty_segments_are_not_metric_names() {
+        assert!(!looks_like_metric_name("queue."));
+        assert!(!looks_like_metric_name("a..b"));
     }
 
     #[test]
