@@ -232,3 +232,26 @@ fn training_output_matches_the_two_loop_reference() {
         );
     }
 }
+
+/// Pins the depth-0 training output of the other two models, whose layer
+/// arithmetic (GCN's plain mean aggregation, PinSAGE's neighbor transform)
+/// the GraphSAGE digest above never runs. Recorded on x86-64 Linux
+/// (glibc 2.36) before the bottom layer stopped computing its discarded
+/// input gradient, so they prove that skipping it changed no output bit.
+#[test]
+fn gcn_and_pinsage_output_match_golden_digests() {
+    const SEED: u64 = 42;
+    const GOLDEN: [(ModelKind, u64); 2] = [
+        (ModelKind::Gcn, 0x3763_27b3_bada_7369),
+        (ModelKind::PinSage, 0x1d9b_b368_999a_5be0),
+    ];
+    for (kind, want) in GOLDEN {
+        let res = run_threaded(graph(), kind, &cfg(SEED, 0, 1, 0.3)).expect("healthy run");
+        assert_eq!(
+            digest(&res),
+            want,
+            "{kind:?} digest drifted: {:#x}",
+            digest(&res)
+        );
+    }
+}
