@@ -1,7 +1,7 @@
 //! SET-pipelining benchmarks: the depth-1 prefetch consumer loop against
 //! the depth-0 serial reference at several extract:train cost ratios,
-//! plus the column-blocked matmul microkernel against an in-bench scalar
-//! reference.
+//! plus the streamed `matmul` and column-blocked `matmul_transb` kernels
+//! against an in-bench scalar reference.
 //!
 //! The consumer loops here mirror the threaded runtime's shapes exactly —
 //! a real `CachedFeatureStore` extract through `extract_to_buffer`
@@ -127,7 +127,8 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 /// Scalar i-j-k reference matmul: what the row kernels computed before
-/// column blocking, kept here so one run yields an honest before/after.
+/// they were column-blocked and then streamed, kept here so one run
+/// yields an honest before/after.
 fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::zeros(m, n);
@@ -143,7 +144,7 @@ fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-fn bench_matmul_blocked(c: &mut Criterion) {
+fn bench_matmul_kernels(c: &mut Criterion) {
     // GraphSage-shaped operands: a tall activation block times a small
     // weight matrix (the hot shape of the training step).
     let a = Matrix::from_vec(
@@ -156,12 +157,12 @@ fn bench_matmul_blocked(c: &mut Criterion) {
         32,
         (0..64 * 32).map(|i| (i % 89) as f32 * 0.02).collect(),
     );
-    let mut group = c.benchmark_group("matmul_blocked");
+    let mut group = c.benchmark_group("matmul_kernels");
     group.sample_size(20);
     group.bench_function("scalar_ref", |bch| {
         bch.iter(|| matmul_ref(&a, &b));
     });
-    group.bench_function("blocked", |bch| {
+    group.bench_function("streamed", |bch| {
         bch.iter(|| a.matmul(&b));
     });
     group.bench_function("blocked_transb", |bch| {
@@ -180,5 +181,5 @@ fn bench_matmul_blocked(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_matmul_blocked);
+criterion_group!(benches, bench_pipeline, bench_matmul_kernels);
 criterion_main!(benches);

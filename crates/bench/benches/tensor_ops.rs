@@ -1,12 +1,13 @@
-//! Benchmarks of the tensor substrate: matmul and full layer
-//! forward/backward over a realistic sampled block.
+//! Benchmarks of the tensor substrate: matmul, full layer
+//! forward/backward over a realistic sampled block, and one whole model
+//! train step at the `sage-pl-cache` benchmark workload's shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gnnlab_graph::gen::chung_lu;
 use gnnlab_par::ThreadPool;
 use gnnlab_sampling::{KHop, Kernel, Sample, SamplingAlgorithm, Selection};
 use gnnlab_tensor::layers::{GnnLayer, LayerKind};
-use gnnlab_tensor::Matrix;
+use gnnlab_tensor::{GnnModel, Matrix, ModelConfig, ModelKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -79,5 +80,47 @@ fn bench_layers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_matmul_pooled, bench_layers);
+/// One `GnnModel::train_batch` (forward, loss, backward) plus the
+/// gradient reset, at the `sage-pl-cache` workload's shape: GraphSAGE,
+/// 256-dim input, hidden 16, 8 classes, a `[25,10]` sample of 64 seeds
+/// spread over a skewed 100k-vertex, 1M-edge graph. The bottom block has
+/// 311 dst and 1,394 src rows; the workload's averages 241 and 1,117.
+fn bench_model_train_batch(c: &mut Criterion) {
+    let g = chung_lu(100_000, 1_000_000, 2.0, 3).expect("valid parameters");
+    let algo = KHop::new(vec![25, 10], Kernel::FisherYates, Selection::Uniform);
+    let seeds: Vec<u32> = (0..64).map(|i| i * 1_531).collect();
+    let sample = algo.sample(&g, &seeds, &mut ChaCha8Rng::seed_from_u64(4));
+    let in_dim = 256;
+    let feats = Matrix::xavier(
+        sample.num_input_nodes(),
+        in_dim,
+        &mut ChaCha8Rng::seed_from_u64(7),
+    );
+    let labels: Vec<u32> = (0..64).map(|i| i % 8).collect();
+    let mut model = GnnModel::new(ModelConfig {
+        kind: ModelKind::GraphSage,
+        in_dim,
+        hidden_dim: 16,
+        num_classes: 8,
+        seed: 8,
+    });
+    let mut group = c.benchmark_group("model_train_batch");
+    group.sample_size(20);
+    group.bench_function("graphsage_256_16_8", |b| {
+        b.iter(|| {
+            let step = model.train_batch(&sample, &feats, &labels);
+            model.zero_grad();
+            step
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_matmul,
+    bench_matmul_pooled,
+    bench_layers,
+    bench_model_train_batch
+);
 criterion_main!(benches);

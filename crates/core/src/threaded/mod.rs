@@ -1440,18 +1440,21 @@ mod tests {
         assert!(err.message.contains("injected fault"), "{err}");
     }
 
+    /// The crashing Sampler is the only one, so it claims work by
+    /// construction: with a peer, that peer could claim every burst first
+    /// and the crash would never fire.
     #[test]
     fn sampler_crash_without_budget_fails_the_run() {
         let g = graph();
         let cfg = ThreadedConfig {
-            num_samplers: 2,
+            num_samplers: 1,
             num_trainers: 2,
             epochs: 2,
-            faults: FaultPlan::crash_sampler(1, 2).with_max_respawns(0),
+            faults: FaultPlan::crash_sampler(0, 2).with_max_respawns(0),
             ..Default::default()
         };
         let err = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap_err();
-        assert_eq!(err.executor, "Sampler 1");
+        assert_eq!(err.executor, "Sampler 0");
         assert!(err.message.contains("injected fault"), "{err}");
     }
 

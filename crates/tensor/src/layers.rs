@@ -54,14 +54,26 @@ pub fn mean_aggregate(block: &LayerBlock, x: &Matrix) -> Matrix {
 /// Backward of [`mean_aggregate`]: scatters `grad_out[dst] / deg(dst)` to
 /// each contributing src row.
 pub fn mean_aggregate_backward(block: &LayerBlock, grad_out: &Matrix, src_count: usize) -> Matrix {
-    let mut deg = vec![0u32; block.dst_count];
-    for &(_, d) in &block.edges {
+    scatter_mean(&block.edges, block.dst_count, grad_out, 0, src_count)
+}
+
+/// [`mean_aggregate_backward`] over a bare `(src_local, dst)` edge list,
+/// reading only columns `from_col..` of `grad_out`.
+fn scatter_mean(
+    edges: &[(u32, u32)],
+    dst_count: usize,
+    grad_out: &Matrix,
+    from_col: usize,
+    src_count: usize,
+) -> Matrix {
+    let mut deg = vec![0u32; dst_count];
+    for &(_, d) in edges {
         deg[d as usize] += 1;
     }
-    let mut grad_in = Matrix::zeros(src_count, grad_out.cols());
-    for &(s, d) in &block.edges {
+    let mut grad_in = Matrix::zeros(src_count, grad_out.cols() - from_col);
+    for &(s, d) in edges {
         let k = deg[d as usize].max(1) as f32;
-        let g_row: &[f32] = grad_out.row(d as usize);
+        let g_row: &[f32] = &grad_out.row(d as usize)[from_col..];
         for (gi, &g) in grad_in.row_mut(s as usize).iter_mut().zip(g_row) {
             *gi += g / k;
         }
@@ -69,7 +81,31 @@ pub fn mean_aggregate_backward(block: &LayerBlock, grad_out: &Matrix, src_count:
     grad_in
 }
 
-/// Slimmed-down block context a layer keeps for backward.
+/// `[x[..agg.rows()] | agg]`: each dst row's own features beside its
+/// aggregate, built in one pass (dst rows are the block's first srcs).
+fn concat_self(x: &Matrix, agg: &Matrix) -> Matrix {
+    let (left, right) = (x.cols(), agg.cols());
+    let mut out = Matrix::zeros(agg.rows(), left + right);
+    for r in 0..agg.rows() {
+        let row = out.row_mut(r);
+        row[..left].copy_from_slice(x.row(r));
+        row[left..].copy_from_slice(agg.row(r));
+    }
+    out
+}
+
+/// Adds columns `..width` of `d_lin_in` onto the first rows of `dx`: the
+/// gradient that flows into each dst row through its own-feature half.
+fn add_self_grad(dx: &mut Matrix, d_lin_in: &Matrix, width: usize) {
+    for r in 0..d_lin_in.rows() {
+        for (a, &b) in dx.row_mut(r).iter_mut().zip(&d_lin_in.row(r)[..width]) {
+            *a += b;
+        }
+    }
+}
+
+/// Slimmed-down block context a layer keeps for backward: the edges (the
+/// only part of the block the aggregation arithmetic reads) and its sizes.
 #[derive(Debug, Clone)]
 struct BlockCtx {
     edges: Vec<(u32, u32)>,
@@ -86,13 +122,16 @@ impl BlockCtx {
         }
     }
 
-    fn as_block(&self) -> LayerBlock {
-        LayerBlock {
-            // Global ids are irrelevant for aggregation arithmetic.
-            src_globals: vec![0; self.src_count],
-            dst_count: self.dst_count,
-            edges: self.edges.clone(),
-        }
+    /// [`mean_aggregate_backward`] over this block, of columns
+    /// `from_col..` of `grad_out`.
+    fn scatter_mean(&self, grad_out: &Matrix, from_col: usize) -> Matrix {
+        scatter_mean(
+            &self.edges,
+            self.dst_count,
+            grad_out,
+            from_col,
+            self.src_count,
+        )
     }
 }
 
@@ -127,7 +166,8 @@ pub struct GnnLayer {
 #[derive(Debug, Clone)]
 struct ForwardCtx {
     block: BlockCtx,
-    x: Matrix,
+    /// PinSAGE only: the layer input, for the neighbor-transform gradient.
+    x: Option<Matrix>,
     /// Input to the final linear op (agg or concat).
     lin_in: Matrix,
     relu_mask: Option<Vec<bool>>,
@@ -188,20 +228,14 @@ impl GnnLayer {
         let mut q_mask = None;
         let lin_in = match self.kind {
             LayerKind::GraphConv => mean_aggregate(block, x),
-            LayerKind::SageConv => {
-                let self_x = x.top_rows(block.dst_count);
-                let agg = mean_aggregate(block, x);
-                self_x.hconcat(&agg)
-            }
+            LayerKind::SageConv => concat_self(x, &mean_aggregate(block, x)),
             LayerKind::PinSageConv => {
                 let wn = self.wn.as_ref().expect("pinsage has wn");
                 let bn = self.bn.as_ref().expect("pinsage has bn");
                 let mut q = x.matmul(&wn.value);
                 q.add_row_broadcast(&bn.value);
                 q_mask = Some(q.relu_inplace());
-                let agg = mean_aggregate(block, &q);
-                let self_x = x.top_rows(block.dst_count);
-                self_x.hconcat(&agg)
+                concat_self(x, &mean_aggregate(block, &q))
             }
         };
         let mut out = lin_in.matmul(&self.w.value);
@@ -209,7 +243,7 @@ impl GnnLayer {
         let relu_mask = self.activate.then(|| out.relu_inplace());
         self.ctx = Some(ForwardCtx {
             block: BlockCtx::of(block),
-            x: x.clone(),
+            x: (self.kind == LayerKind::PinSageConv).then(|| x.clone()),
             lin_in,
             relu_mask,
             q_mask,
@@ -224,6 +258,25 @@ impl GnnLayer {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.backward_impl(grad_out, true)
+            .expect("input gradient was requested")
+    }
+
+    /// Backward pass that only accumulates parameter gradients — for the
+    /// bottom layer, whose input gradient nobody reads. Every parameter
+    /// gradient is bit-identical to [`GnnLayer::backward`]'s; the work
+    /// skipped is what only `d loss / d x` needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub(crate) fn backward_params(&mut self, grad_out: &Matrix) {
+        self.backward_impl(grad_out, false);
+    }
+
+    /// Shared backward: parameter gradients always, and `d loss / d x`
+    /// only when `input_grad` is set.
+    fn backward_impl(&mut self, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         let ctx = self.ctx.take().expect("backward before forward");
         let mut grad = grad_out.clone();
         if let Some(mask) = &ctx.relu_mask {
@@ -232,39 +285,34 @@ impl GnnLayer {
         // Linear: out = lin_in @ W + b.
         self.w.grad.add_assign(&ctx.lin_in.transa_matmul(&grad));
         self.b.grad.add_assign(&grad.col_sum());
+        if !input_grad && self.kind != LayerKind::PinSageConv {
+            return None;
+        }
         let d_lin_in = grad.matmul_transb(&self.w.value);
-        let block = ctx.block.as_block();
 
         match self.kind {
-            LayerKind::GraphConv => mean_aggregate_backward(&block, &d_lin_in, ctx.block.src_count),
+            LayerKind::GraphConv => Some(ctx.block.scatter_mean(&d_lin_in, 0)),
+            // d_lin_in is [d_self | d_agg], split at in_dim.
             LayerKind::SageConv => {
-                let (d_self, d_agg) = d_lin_in.hsplit(self.in_dim);
-                let mut dx = mean_aggregate_backward(&block, &d_agg, ctx.block.src_count);
-                for r in 0..ctx.block.dst_count {
-                    let row = d_self.row(r).to_vec();
-                    for (a, b) in dx.row_mut(r).iter_mut().zip(row) {
-                        *a += b;
-                    }
-                }
-                dx
+                let mut dx = ctx.block.scatter_mean(&d_lin_in, self.in_dim);
+                add_self_grad(&mut dx, &d_lin_in, self.in_dim);
+                Some(dx)
             }
             LayerKind::PinSageConv => {
-                let (d_self, d_agg) = d_lin_in.hsplit(self.in_dim);
-                let mut dq = mean_aggregate_backward(&block, &d_agg, ctx.block.src_count);
+                let mut dq = ctx.block.scatter_mean(&d_lin_in, self.in_dim);
                 dq.relu_backward_inplace(ctx.q_mask.as_ref().expect("pinsage mask"));
                 // q = x @ Wn + bn.
                 let wn = self.wn.as_mut().expect("pinsage has wn");
                 let bn = self.bn.as_mut().expect("pinsage has bn");
-                wn.grad.add_assign(&ctx.x.transa_matmul(&dq));
+                let x = ctx.x.as_ref().expect("pinsage keeps its input");
+                wn.grad.add_assign(&x.transa_matmul(&dq));
                 bn.grad.add_assign(&dq.col_sum());
-                let mut dx = dq.matmul_transb(&wn.value);
-                for r in 0..ctx.block.dst_count {
-                    let row = d_self.row(r).to_vec();
-                    for (a, b) in dx.row_mut(r).iter_mut().zip(row) {
-                        *a += b;
-                    }
+                if !input_grad {
+                    return None;
                 }
-                dx
+                let mut dx = dq.matmul_transb(&wn.value);
+                add_self_grad(&mut dx, &d_lin_in, self.in_dim);
+                Some(dx)
             }
         }
     }

@@ -8,24 +8,30 @@
 //! and only fan out when a multi-thread pool is configured and the product
 //! is large enough to amortize dispatch.
 //!
-//! The row kernels are column-blocked: each inner loop keeps
-//! [`COL_BLOCK`] output accumulators in registers and walks `k` once per
-//! block instead of once per element, which cuts the per-iteration
-//! load/store traffic without touching the float-add order — every output
-//! element still accumulates over ascending `k` with the same `a == 0`
-//! skips, so blocking is invisible to the bit-identity contract.
+//! `matmul` and `transa_matmul` stream their operands k-outer: for each
+//! `k` with a non-zero coefficient `a`, a whole output row takes
+//! `out[i][..] += a * other[k][..]`. Both operands are read row by row
+//! and the inner loop runs over contiguous output columns, so it
+//! vectorizes. Vectorizing across columns keeps each element's own add
+//! sequence — ascending `k`, the same `a == 0` skips, starting from zero
+//! — so the result is bit-identical to the scalar triple loop.
+//! `matmul_transb` is a dot product per element; vectorizing that would
+//! reorder its reduction, so it is instead column-blocked: [`COL_BLOCK`]
+//! dot products advance together over one pass of the row, each still
+//! summing over ascending `k`.
 
 use gnnlab_par::ThreadPool;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Minimum `rows * inner * cols` product worth fanning out; below this the
 /// chunk-dispatch overhead exceeds the multiply itself.
 const PAR_MIN_FLOPS: usize = 64 * 1024;
 
-/// Output columns each register-tiled kernel iteration produces. Four f32
-/// accumulators fit comfortably in registers on every target; the
-/// remainder columns (`cols % COL_BLOCK`) fall back to the scalar loop.
+/// Dot products each `matmul_transb` kernel iteration advances together.
+/// Four f32 accumulators fit comfortably in registers on every target;
+/// the remainder columns (`cols % COL_BLOCK`) fall back to the scalar loop.
 const COL_BLOCK: usize = 4;
 
 fn par_pool(flops: usize) -> Option<std::sync::Arc<ThreadPool>> {
@@ -127,16 +133,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// A new matrix containing the first `n` rows.
-    pub fn top_rows(&self, n: usize) -> Matrix {
-        assert!(n <= self.rows, "top_rows out of range");
-        Matrix {
-            rows: n,
-            cols: self.cols,
-            data: self.data[..n * self.cols].to_vec(),
-        }
-    }
-
     /// `self @ other` (ikj loop order for cache friendliness). Fans out
     /// over the global pool when one is configured and the product is
     /// large; see [`Matrix::matmul_with`].
@@ -169,41 +165,19 @@ impl Matrix {
         out
     }
 
-    /// One output row of `matmul`: `out_row += a_row @ other`.
-    ///
-    /// Column-blocked: [`COL_BLOCK`] output accumulators stay in
-    /// registers while `k` ascends once per block. Each element's add
-    /// sequence (ascending `k`, skipping `a == 0`) is exactly the scalar
-    /// kernel's, so the result is bit-identical.
+    /// One output row of `matmul`: `out_row += a_row @ other`, streamed
+    /// k-outer so the inner loop over contiguous output columns
+    /// vectorizes. Each element still adds over ascending `k`, skipping
+    /// `a == 0`, exactly as the scalar kernel does.
     #[inline]
     fn matmul_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
-        let cols = out_row.len();
-        let blocked = cols - cols % COL_BLOCK;
-        let mut j = 0;
-        while j < blocked {
-            let mut acc = [out_row[j], out_row[j + 1], out_row[j + 2], out_row[j + 3]];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b = &other.row(k)[j..j + COL_BLOCK];
-                acc[0] += a * b[0];
-                acc[1] += a * b[1];
-                acc[2] += a * b[2];
-                acc[3] += a * b[3];
+        for (k, &a) in a_row.iter().enumerate() {
+            if a == 0.0 {
+                continue;
             }
-            out_row[j..j + COL_BLOCK].copy_from_slice(&acc);
-            j += COL_BLOCK;
-        }
-        for (jj, out) in out_row.iter_mut().enumerate().skip(blocked) {
-            let mut acc = *out;
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                acc += a * other.row(k)[jj];
+            for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
+                *o += a * b;
             }
-            *out = acc;
         }
     }
 
@@ -238,9 +212,9 @@ impl Matrix {
 
     /// One output row of `matmul_transb`: `out_row[j] = a_row · other[j]`.
     ///
-    /// Column-blocked like [`Matrix::matmul_row`]: four dot products
-    /// advance together over one pass of `a_row`, each accumulating over
-    /// ascending `k` exactly as the scalar loop does.
+    /// Column-blocked: four dot products advance together over one pass
+    /// of `a_row`, each accumulating over ascending `k` exactly as the
+    /// scalar loop does.
     #[inline]
     fn matmul_transb_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
         let cols = out_row.len();
@@ -279,18 +253,15 @@ impl Matrix {
         }
         assert_eq!(self.rows, other.rows, "transa_matmul shape mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.cols {
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            self.transa_matmul_row(i, other, out_row);
-        }
+        self.transa_matmul_rows(0..self.cols, other, &mut out.data);
         out
     }
 
     /// `self.T @ other` with output rows fanned across `pool`.
     ///
-    /// Each output row `i` (column `i` of `self`) accumulates over `k` in
-    /// the same ascending order — with the same `a == 0` skips — as the
-    /// sequential k-outer loop, so every output element sees the identical
+    /// Each chunk of output rows (columns of `self`) streams `self` and
+    /// `other` once in ascending `k`, with the same `a == 0` skips as the
+    /// sequential path, so every output element sees the identical
     /// float-add sequence and the result is bit-identical.
     pub fn transa_matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
         assert_eq!(self.rows, other.rows, "transa_matmul shape mismatch");
@@ -298,49 +269,34 @@ impl Matrix {
         if out.data.is_empty() {
             return out;
         }
-        let cols = other.cols;
-        pool.par_chunks_mut(&mut out.data, cols, |_, rows, chunk| {
-            for (i, out_row) in rows.clone().zip(chunk.chunks_exact_mut(cols)) {
-                self.transa_matmul_row(i, other, out_row);
-            }
+        pool.par_chunks_mut(&mut out.data, other.cols, |_, rows, chunk| {
+            self.transa_matmul_rows(rows, other, chunk);
         });
         out
     }
 
-    /// One output row of `transa_matmul`: `out_row += self[:, i].T @ other`.
-    /// Column-blocked with the same ascending-`k`, `a == 0`-skipping
-    /// accumulation per element as the sequential k-outer loop.
-    #[inline]
-    fn transa_matmul_row(&self, i: usize, other: &Matrix, out_row: &mut [f32]) {
-        let cols = out_row.len();
-        let blocked = cols - cols % COL_BLOCK;
-        let mut j = 0;
-        while j < blocked {
-            let mut acc = [out_row[j], out_row[j + 1], out_row[j + 2], out_row[j + 3]];
-            for k in 0..self.rows {
-                let a = self.data[k * self.cols + i];
-                if a == 0.0 {
-                    continue;
-                }
-                let b = &other.row(k)[j..j + COL_BLOCK];
-                acc[0] += a * b[0];
-                acc[1] += a * b[1];
-                acc[2] += a * b[2];
-                acc[3] += a * b[3];
-            }
-            out_row[j..j + COL_BLOCK].copy_from_slice(&acc);
-            j += COL_BLOCK;
+    /// Output rows `rows` of `transa_matmul` into `chunk`, streamed
+    /// k-outer: for each row `k` of `self` and `other`, every output row
+    /// `i` in range takes `out[i][..] += self[k][i] * other[k][..]`,
+    /// skipping `self[k][i] == 0`. Each element adds over ascending `k`,
+    /// whichever rows the chunk holds.
+    fn transa_matmul_rows(&self, rows: Range<usize>, other: &Matrix, chunk: &mut [f32]) {
+        if other.cols == 0 {
+            return;
         }
-        for (jj, out) in out_row.iter_mut().enumerate().skip(blocked) {
-            let mut acc = *out;
-            for k in 0..self.rows {
-                let a = self.data[k * self.cols + i];
+        for k in 0..self.rows {
+            let b_row = other.row(k);
+            for (&a, out_row) in self.row(k)[rows.clone()]
+                .iter()
+                .zip(chunk.chunks_exact_mut(other.cols))
+            {
                 if a == 0.0 {
                     continue;
                 }
-                acc += a * other.row(k)[jj];
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
             }
-            *out = acc;
         }
     }
 
@@ -404,30 +360,6 @@ impl Matrix {
         }
     }
 
-    /// Horizontal concatenation `[self | other]`.
-    pub fn hconcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hconcat row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        out
-    }
-
-    /// Splits a `[left | right]` matrix back into halves of width
-    /// `left_cols` and the remainder.
-    pub fn hsplit(&self, left_cols: usize) -> (Matrix, Matrix) {
-        assert!(left_cols <= self.cols, "hsplit out of range");
-        let mut left = Matrix::zeros(self.rows, left_cols);
-        let mut right = Matrix::zeros(self.rows, self.cols - left_cols);
-        for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..left_cols]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[left_cols..]);
-        }
-        (left, right)
-    }
-
     /// Column-wise sum as a 1×cols matrix (bias gradient).
     pub fn col_sum(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
@@ -487,18 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_hsplit_roundtrip() {
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let b = Matrix::from_vec(2, 1, vec![5., 6.]);
-        let c = a.hconcat(&b);
-        assert_eq!(c.cols(), 3);
-        assert_eq!(c.row(1), &[3., 4., 6.]);
-        let (l, r) = c.hsplit(2);
-        assert_eq!(l.data(), a.data());
-        assert_eq!(r.data(), b.data());
-    }
-
-    #[test]
     fn bias_broadcast_and_colsum() {
         let mut m = Matrix::zeros(2, 3);
         let bias = Matrix::from_vec(1, 3, vec![1., 2., 3.]);
@@ -516,13 +436,6 @@ mod tests {
         assert_eq!(a.data(), b.data());
         let bound = (6.0f32 / 16.0).sqrt();
         assert!(a.data().iter().all(|v| v.abs() <= bound));
-    }
-
-    #[test]
-    fn top_rows_takes_prefix() {
-        let m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let t = m.top_rows(2);
-        assert_eq!(t.data(), &[1., 2., 3., 4.]);
     }
 
     #[test]
@@ -559,6 +472,38 @@ mod tests {
                 ta.data(),
                 "{threads}"
             );
+        }
+    }
+
+    /// `transa_matmul` fanned across pools of several sizes against its
+    /// sequential path, at widths that are not a multiple of four and with
+    /// zeros in `a` so the skips land inside every chunk.
+    #[test]
+    fn pooled_transa_matmul_matches_sequential_at_ragged_widths() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        for (rows, inner, cols) in [
+            (41, 13, 1),
+            (41, 13, 3),
+            (17, 29, 6),
+            (64, 33, 7),
+            (9, 2, 10),
+        ] {
+            let mut a = Matrix::xavier(rows, inner, &mut rng);
+            for v in a.data_mut().iter_mut().step_by(3) {
+                *v = 0.0;
+            }
+            let b = Matrix::xavier(rows, cols, &mut rng);
+            let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
+            let mut seq = Matrix::zeros(inner, cols);
+            a.transa_matmul_rows(0..inner, &b, &mut seq.data);
+            for threads in [1, 2, 3, 4, 8] {
+                let pool = ThreadPool::new(threads);
+                assert_eq!(
+                    bits(&a.transa_matmul_with(&b, &pool)),
+                    bits(&seq),
+                    "{rows}x{inner}x{cols} on {threads} threads"
+                );
+            }
         }
     }
 

@@ -117,20 +117,24 @@ impl GnnModel {
             self.layers.len(),
             "sample layer count mismatch"
         );
-        let mut h = in_feats.clone();
-        for (layer, block) in self.layers.iter_mut().zip(&sample.blocks) {
+        let (first, rest) = self.layers.split_first_mut().expect("model has layers");
+        let mut h = first.forward(&sample.blocks[0], in_feats);
+        for (layer, block) in rest.iter_mut().zip(&sample.blocks[1..]) {
             h = layer.forward(block, &h);
         }
         h
     }
 
     /// Backward pass from the logits gradient; accumulates parameter
-    /// gradients and discards the input gradient.
+    /// gradients. The bottom layer's input gradient would only be
+    /// discarded, so that layer computes its parameter gradients alone.
     pub fn backward(&mut self, grad_logits: &Matrix) {
-        let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let (first, rest) = self.layers.split_first_mut().expect("model has layers");
+        let mut g = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_logits)));
         }
+        first.backward_params(g.as_ref().unwrap_or(grad_logits));
     }
 
     /// Forward + loss + backward for one mini-batch; returns `(loss,
@@ -254,6 +258,41 @@ mod tests {
                 final_loss < first_loss * 0.8,
                 "{kind:?}: {first_loss} -> {final_loss}"
             );
+        }
+    }
+
+    /// Skipping the bottom layer's input gradient leaves every parameter
+    /// gradient bit-identical to running each layer's full backward.
+    #[test]
+    fn backward_matches_full_layer_backward_bitwise() {
+        let grad_bits = |m: &mut GnnModel| -> Vec<Vec<u32>> {
+            m.params_mut()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for kind in ModelKind::ALL {
+            let sample = sample_for(kind);
+            let feats = feats_for(&sample, 8);
+            let labels = [0u32, 1, 2, 3, 0];
+            let mut model = GnnModel::new(ModelConfig {
+                kind,
+                in_dim: 8,
+                hidden_dim: 16,
+                num_classes: 4,
+                seed: 7,
+            });
+            let mut reference = model.clone();
+
+            let _ = model.train_batch(&sample, &feats, &labels);
+
+            let logits = reference.forward(&sample, &feats);
+            let (_, mut g) = softmax_cross_entropy(&logits, &labels);
+            for layer in reference.layers.iter_mut().rev() {
+                g = layer.backward(&g);
+            }
+
+            assert_eq!(grad_bits(&mut model), grad_bits(&mut reference), "{kind:?}");
         }
     }
 
