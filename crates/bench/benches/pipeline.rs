@@ -1,7 +1,7 @@
 //! SET-pipelining benchmarks: the depth-1 prefetch consumer loop against
 //! the depth-0 serial reference at several extract:train cost ratios,
-//! plus the streamed `matmul` and column-blocked `matmul_transb` kernels
-//! against an in-bench scalar reference.
+//! plus the register-tiled `matmul` and `matmul_transb` against an
+//! in-bench scalar reference.
 //!
 //! The consumer loops here mirror the threaded runtime's shapes exactly —
 //! a real `CachedFeatureStore` extract through `extract_to_buffer`
@@ -126,9 +126,9 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar i-j-k reference matmul: what the row kernels computed before
-/// they were column-blocked and then streamed, kept here so one run
-/// yields an honest before/after.
+/// Scalar i-j-k reference matmul: what the kernels computed before they
+/// were register-tiled, kept here so one run yields an honest
+/// before/after.
 fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::zeros(m, n);
@@ -162,10 +162,10 @@ fn bench_matmul_kernels(c: &mut Criterion) {
     group.bench_function("scalar_ref", |bch| {
         bch.iter(|| matmul_ref(&a, &b));
     });
-    group.bench_function("streamed", |bch| {
+    group.bench_function("tiled", |bch| {
         bch.iter(|| a.matmul(&b));
     });
-    group.bench_function("blocked_transb", |bch| {
+    group.bench_function("tiled_transb", |bch| {
         // B^T has the same values transposed, so results stay comparable.
         let bt = Matrix::from_vec(32, 64, {
             let mut t = vec![0.0f32; 64 * 32];

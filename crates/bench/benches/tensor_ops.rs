@@ -1,6 +1,7 @@
-//! Benchmarks of the tensor substrate: matmul, full layer
-//! forward/backward over a realistic sampled block, and one whole model
-//! train step at the `sage-pl-cache` benchmark workload's shape.
+//! Benchmarks of the tensor substrate: matmul, the bottom layer's two
+//! GEMMs and one whole model train step at the `sage-pl-cache` benchmark
+//! workload's shape, and full layer forward/backward over a realistic
+//! sampled block.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gnnlab_graph::gen::chung_lu;
@@ -44,6 +45,28 @@ fn bench_matmul_pooled(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// The two bottom-layer GEMMs of the `sage-pl-cache` workload at its
+/// traced shape: the forward product `lin_in · W` (394×512 · 512×16,
+/// `lin_in` being `[x_self | agg]` over 256-dim rows) and the weight
+/// gradient `lin_inᵀ · grad` ((394×512)ᵀ · 394×16).
+fn bench_layer0_gemms(c: &mut Criterion) {
+    let (rows, inner, cols) = (394usize, 512, 16);
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let lin_in = Matrix::xavier(rows, inner, &mut rng);
+    let w = Matrix::xavier(inner, cols, &mut rng);
+    let grad = Matrix::xavier(rows, cols, &mut rng);
+    let mut group = c.benchmark_group("layer0_gemm");
+    group.sample_size(50);
+    group.throughput(Throughput::Elements((2 * rows * inner * cols) as u64));
+    group.bench_function("matmul/394x512x16", |bench| {
+        bench.iter(|| lin_in.matmul(&w));
+    });
+    group.bench_function("transa_matmul/394x512x16", |bench| {
+        bench.iter(|| lin_in.transa_matmul(&grad));
+    });
     group.finish();
 }
 
@@ -120,6 +143,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_matmul_pooled,
+    bench_layer0_gemms,
     bench_layers,
     bench_model_train_batch
 );

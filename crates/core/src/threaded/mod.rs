@@ -1072,12 +1072,16 @@ mod tests {
     #[test]
     fn two_tier_extraction_serves_hits() {
         let g = graph();
+        // No standby switch: a standby extracts through its own smaller
+        // cache, and how many batches it takes depends on thread timing,
+        // so only the Trainers' stores are measured here.
         let res = run_threaded(
             &g,
             ModelKind::GraphSage,
             &ThreadedConfig {
                 epochs: 2,
                 cache_alpha: 0.5,
+                dynamic_switching: false,
                 ..Default::default()
             },
         )
@@ -1112,10 +1116,18 @@ mod tests {
 
     fn populates_observability_at(g: &SbmGraph, depth: usize) {
         let obs = Arc::new(Obs::wall());
+        // Sized so every slot must work before the run can end: a slow
+        // train step and a queue of one burst block Sampler 0 long before
+        // the batches run out, leaving claims for Sampler 1, and keep
+        // batches queued long enough for every Trainer to take one.
+        // Without this an optimized build samples and trains the whole
+        // run on the first threads up, and a per-slot gauge is missing.
         let cfg = ThreadedConfig {
             epochs: 2,
             cache_alpha: 0.5,
             pipeline_depth: depth,
+            queue_capacity: 4,
+            trainer_delay: Some(Duration::from_millis(2)),
             ..Default::default()
         };
         let res = run_threaded_obs(g, ModelKind::GraphSage, &cfg, &obs).unwrap();
@@ -1461,11 +1473,15 @@ mod tests {
     #[test]
     fn trainer_crash_within_budget_recovers_and_trains_every_batch() {
         let g = graph();
+        // The slow train step spreads the batches over every consumer, so
+        // Trainer 0 reaches its crash point before the others drain the
+        // run (an optimized build otherwise can finish without it).
         let cfg = ThreadedConfig {
             num_samplers: 2,
             num_trainers: 2,
             epochs: 3,
             batch_size: 25,
+            trainer_delay: Some(Duration::from_millis(2)),
             faults: FaultPlan::crash_trainer(0, 2),
             ..Default::default()
         };
@@ -1579,13 +1595,16 @@ mod tests {
     fn stragglers_stretch_the_observed_stage_times() {
         let g = graph();
         let obs = Arc::new(Obs::wall());
+        // A 100x stretch: the unstretched train step on this graph takes
+        // about 0.2 ms, and one descheduled sample on a loaded host can
+        // push the sampler's EWMA past 2 ms.
         let cfg = ThreadedConfig {
             num_samplers: 1,
             num_trainers: 1,
             epochs: 1,
             batch_size: 25,
             dynamic_switching: false,
-            faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
+            faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 100.0),
             ..Default::default()
         };
         let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();

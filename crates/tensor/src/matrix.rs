@@ -1,24 +1,36 @@
 //! Row-major `f32` matrices with the operations GNN layers need.
 //!
 //! The three matmul variants are data-parallel over disjoint *output* rows:
-//! each output row's accumulation runs in the exact sequential order
+//! each output element's accumulation runs in the exact sequential order
 //! (ascending `k`), so results are bit-identical at every thread count —
 //! parallelism changes which thread computes a row, never the float-add
 //! order within it. The plain methods consult [`gnnlab_par::global_threads`]
 //! and only fan out when a multi-thread pool is configured and the product
 //! is large enough to amortize dispatch.
 //!
-//! `matmul` and `transa_matmul` stream their operands k-outer: for each
-//! `k` with a non-zero coefficient `a`, a whole output row takes
-//! `out[i][..] += a * other[k][..]`. Both operands are read row by row
-//! and the inner loop runs over contiguous output columns, so it
-//! vectorizes. Vectorizing across columns keeps each element's own add
-//! sequence — ascending `k`, the same `a == 0` skips, starting from zero
-//! — so the result is bit-identical to the scalar triple loop.
-//! `matmul_transb` is a dot product per element; vectorizing that would
-//! reorder its reduction, so it is instead column-blocked: [`COL_BLOCK`]
-//! dot products advance together over one pass of the row, each still
-//! summing over ascending `k`.
+//! All three run one register-tiled kernel. `matmul` and `transa_matmul`
+//! read their left operand in place; `matmul_transb` multiplies by a
+//! packed transpose of its right operand, in the train step a weight
+//! matrix (at most 32×16 at the benchmark workloads' shapes). For each
+//! block of [`MR`] output rows the kernel packs the left operand k-major
+//! once, then for each block of [`NR`] columns keeps the `MR × NR`
+//! accumulators in locals across the whole `k` loop: each right-operand
+//! row slice is loaded once per `k` for all `MR` rows, and each output
+//! element is stored once, at the end. The rows and columns left over
+//! (`rows % MR`, `cols % NR`) go through one scalar edge path.
+//!
+//! Every element still starts at +0.0 and adds `a * b` over ascending
+//! `k`, with no fused multiply-add and no reassociation, so it is
+//! bit-identical to the scalar triple loop. The reference loop for
+//! `matmul` and `transa_matmul` skips `a == 0`; the tile does not, which
+//! is exact whenever every `b` is finite: a term with `a == ±0` is then
+//! ±0, a sum that starts at +0.0 never becomes −0.0 (an exact sum is −0.0
+//! only when both terms are), and adding ±0 to any other value leaves it
+//! unchanged. Those two products therefore scan their right operand
+//! first — `O(k · n)`, small beside the `O(m · k · n)` product — and if
+//! any value is ±inf or NaN, where `0 * b` is NaN, every element takes
+//! the edge path with the skips. `matmul_transb` never skipped, so it
+//! needs no scan and its edge path does not skip either.
 
 use gnnlab_par::ThreadPool;
 use rand::Rng;
@@ -29,10 +41,13 @@ use std::ops::Range;
 /// chunk-dispatch overhead exceeds the multiply itself.
 const PAR_MIN_FLOPS: usize = 64 * 1024;
 
-/// Dot products each `matmul_transb` kernel iteration advances together.
-/// Four f32 accumulators fit comfortably in registers on every target;
-/// the remainder columns (`cols % COL_BLOCK`) fall back to the scalar loop.
-const COL_BLOCK: usize = 4;
+/// Output rows of the register tile.
+const MR: usize = 4;
+
+/// Output columns of the register tile: with [`MR`], 32 accumulators —
+/// eight 4-lane vector registers at the x86-64 baseline, leaving room for
+/// the right-operand row slice and the broadcast left-operand value.
+const NR: usize = 8;
 
 fn par_pool(flops: usize) -> Option<std::sync::Arc<ThreadPool>> {
     if gnnlab_par::global_threads() > 1 && flops >= PAR_MIN_FLOPS {
@@ -40,6 +55,157 @@ fn par_pool(flops: usize) -> Option<std::sync::Arc<ThreadPool>> {
     } else {
         None
     }
+}
+
+/// The left operand `A` of a product, read in place.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// `A = m`.
+    Plain(&'a Matrix),
+    /// `A = m.T`.
+    Transposed(&'a Matrix),
+}
+
+impl Lhs<'_> {
+    fn rows(self) -> usize {
+        match self {
+            Lhs::Plain(m) => m.rows,
+            Lhs::Transposed(m) => m.cols,
+        }
+    }
+
+    fn depth(self) -> usize {
+        match self {
+            Lhs::Plain(m) => m.cols,
+            Lhs::Transposed(m) => m.rows,
+        }
+    }
+
+    #[inline]
+    fn at(self, i: usize, k: usize) -> f32 {
+        match self {
+            Lhs::Plain(m) => m.data[i * m.cols + k],
+            Lhs::Transposed(m) => m.data[k * m.cols + i],
+        }
+    }
+
+    /// Copies rows `i0..i0 + MR` into `panel`, k-major:
+    /// `panel[k * MR + r] = A(i0 + r, k)`.
+    fn pack(self, i0: usize, panel: &mut [f32]) {
+        match self {
+            Lhs::Plain(m) => {
+                let rows: [&[f32]; MR] = std::array::from_fn(|r| m.row(i0 + r));
+                for (k, p) in panel.chunks_exact_mut(MR).enumerate() {
+                    for (v, row) in p.iter_mut().zip(rows) {
+                        *v = row[k];
+                    }
+                }
+            }
+            Lhs::Transposed(m) => {
+                for (p, row) in panel.chunks_exact_mut(MR).zip(m.data.chunks_exact(m.cols)) {
+                    p.copy_from_slice(&row[i0..i0 + MR]);
+                }
+            }
+        }
+    }
+
+    /// The scalar edge path: output element `(i, j)` of `A · b`, from
+    /// +0.0 over ascending `k`, skipping `A(i, k) == 0` when `skip_zeros`.
+    fn dot(self, i: usize, b: &Matrix, j: usize, skip_zeros: bool) -> f32 {
+        let mut acc = 0.0f32;
+        for (k, b_row) in b.data.chunks_exact(b.cols).enumerate() {
+            let a = self.at(i, k);
+            if skip_zeros && a == 0.0 {
+                continue;
+            }
+            acc += a * b_row[j];
+        }
+        acc
+    }
+}
+
+/// Whether a product whose scalar reference skips `a == 0` must keep the
+/// skips with right operand `b`. The tile does not skip; that is exact
+/// while every `b` is finite (see the module docs), but `0 * ±inf` and
+/// `0 * NaN` are NaN, so a right operand holding any such value sends
+/// every element down the skipping edge path.
+fn needs_zero_skips(b: &Matrix) -> bool {
+    !b.data.iter().all(|v| v.is_finite())
+}
+
+/// `a · b` into a fresh `a.rows × b.cols` matrix, output rows fanned
+/// across `pool` when given. Every output element's add sequence is fixed
+/// by its own row and column, whichever chunk or tile computes it, so the
+/// bits are the same at every pool size.
+///
+/// `reference_skips` says whether the product's scalar reference skips
+/// `a == 0` (`matmul`, `transa_matmul`); see [`needs_zero_skips`].
+fn product(a: Lhs<'_>, b: &Matrix, reference_skips: bool, pool: Option<&ThreadPool>) -> Matrix {
+    let skip_zeros = reference_skips && needs_zero_skips(b);
+    let mut out = Matrix::zeros(a.rows(), b.cols);
+    match pool {
+        Some(pool) if !out.data.is_empty() => {
+            pool.par_chunks_mut(&mut out.data, b.cols, |_, rows, chunk| {
+                gemm_rows(a, b, rows, skip_zeros, chunk);
+            });
+        }
+        _ => gemm_rows(a, b, 0..a.rows(), skip_zeros, &mut out.data),
+    }
+    out
+}
+
+/// Output rows `rows` of `a · b` into `out` (`rows.len() × b.cols`,
+/// row-major). Whole `MR × NR` blocks go through the register [`tile`],
+/// each `MR`-row block packed once and reused for every column block; the
+/// ragged rows and columns go through the scalar [`Lhs::dot`]. With
+/// `skip_zeros` every element goes through `dot`, skipping `a == 0`.
+fn gemm_rows(a: Lhs<'_>, b: &Matrix, rows: Range<usize>, skip_zeros: bool, out: &mut [f32]) {
+    let n = b.cols;
+    if n == 0 {
+        return;
+    }
+    let (tiled_rows, tiled_cols) = if skip_zeros {
+        (0, 0)
+    } else {
+        (rows.len() - rows.len() % MR, n - n % NR)
+    };
+    if tiled_rows > 0 && tiled_cols > 0 {
+        let mut panel = vec![0.0f32; MR * a.depth()];
+        for r0 in (0..tiled_rows).step_by(MR) {
+            a.pack(rows.start + r0, &mut panel);
+            for j0 in (0..tiled_cols).step_by(NR) {
+                let acc = tile(&panel, b, j0);
+                for (out_row, acc_row) in out[r0 * n..].chunks_exact_mut(n).zip(&acc) {
+                    out_row[j0..j0 + NR].copy_from_slice(acc_row);
+                }
+            }
+        }
+    }
+    for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let first = if r < tiled_rows { tiled_cols } else { 0 };
+        for (j, o) in out_row.iter_mut().enumerate().skip(first) {
+            *o = a.dot(rows.start + r, b, j, skip_zeros);
+        }
+    }
+}
+
+/// The register tile: output rows `i0..i0 + MR` (packed in `panel` by
+/// [`Lhs::pack`]) by columns `j0..j0 + NR` of `b`. The `MR × NR`
+/// accumulators stay in locals across the whole `k` loop, each `b` row
+/// slice is loaded once per `k` for all `MR` rows, and each element
+/// starts at +0.0 and adds `a * b` over ascending `k` with no skips.
+#[inline]
+fn tile(panel: &[f32], b: &Matrix, j0: usize) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (a, b_row) in panel.chunks_exact(MR).zip(b.data.chunks_exact(b.cols)) {
+        let b = &b_row[j0..j0 + NR];
+        for (acc_row, &av) in acc.iter_mut().zip(a) {
+            for (o, &bv) in acc_row.iter_mut().zip(b) {
+                *o += av * bv;
+            }
+        }
+    }
+    acc
 }
 
 /// A dense row-major matrix of `f32`.
@@ -133,171 +299,72 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// `self @ other` (ikj loop order for cache friendliness). Fans out
-    /// over the global pool when one is configured and the product is
-    /// large; see [`Matrix::matmul_with`].
+    /// `self @ other`. Fans out over the global pool when one is
+    /// configured and the product is large; see [`Matrix::matmul_with`].
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        if let Some(pool) = par_pool(self.rows * self.cols * other.cols) {
-            return self.matmul_with(other, &pool);
-        }
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            Self::matmul_row(self.row(i), other, out.row_mut(i));
-        }
-        out
+        let pool = par_pool(self.rows * self.cols * other.cols);
+        product(Lhs::Plain(self), other, true, pool.as_deref())
     }
 
     /// `self @ other` with output rows fanned across `pool`. Bit-identical
     /// to the sequential [`Matrix::matmul`] at every pool size.
     pub fn matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let cols = other.cols;
-        pool.par_chunks_mut(&mut out.data, cols, |_, rows, chunk| {
-            for (i, out_row) in rows.clone().zip(chunk.chunks_exact_mut(cols)) {
-                Self::matmul_row(self.row(i), other, out_row);
-            }
-        });
-        out
+        product(Lhs::Plain(self), other, true, Some(pool))
     }
 
-    /// One output row of `matmul`: `out_row += a_row @ other`, streamed
-    /// k-outer so the inner loop over contiguous output columns
-    /// vectorizes. Each element still adds over ascending `k`, skipping
-    /// `a == 0`, exactly as the scalar kernel does.
-    #[inline]
-    fn matmul_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
-        for (k, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
-                *o += a * b;
-            }
-        }
-    }
-
-    /// `self @ other.T`. Fans out like [`Matrix::matmul`].
+    /// `self @ other.T`, through the tile on a packed transpose of
+    /// `other` — in the train step a weight matrix, at most 32×16 at the
+    /// benchmark workloads' shapes. Fans out like [`Matrix::matmul`].
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
-        if let Some(pool) = par_pool(self.rows * self.cols * other.rows) {
-            return self.matmul_transb_with(other, &pool);
-        }
         assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            Self::matmul_transb_row(self.row(i), other, out.row_mut(i));
-        }
-        out
+        let pool = par_pool(self.rows * self.cols * other.rows);
+        product(Lhs::Plain(self), &other.transpose(), false, pool.as_deref())
     }
 
     /// `self @ other.T` with output rows fanned across `pool`.
     pub fn matmul_transb_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        if out.data.is_empty() {
-            return out;
-        }
-        let cols = other.rows;
-        pool.par_chunks_mut(&mut out.data, cols, |_, rows, chunk| {
-            for (i, out_row) in rows.clone().zip(chunk.chunks_exact_mut(cols)) {
-                Self::matmul_transb_row(self.row(i), other, out_row);
-            }
-        });
-        out
-    }
-
-    /// One output row of `matmul_transb`: `out_row[j] = a_row · other[j]`.
-    ///
-    /// Column-blocked: four dot products advance together over one pass
-    /// of `a_row`, each accumulating over ascending `k` exactly as the
-    /// scalar loop does.
-    #[inline]
-    fn matmul_transb_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
-        let cols = out_row.len();
-        let blocked = cols - cols % COL_BLOCK;
-        let mut j = 0;
-        while j < blocked {
-            let (r0, r1, r2, r3) = (
-                other.row(j),
-                other.row(j + 1),
-                other.row(j + 2),
-                other.row(j + 3),
-            );
-            let mut acc = [0.0f32; COL_BLOCK];
-            for (k, &a) in a_row.iter().enumerate() {
-                acc[0] += a * r0[k];
-                acc[1] += a * r1[k];
-                acc[2] += a * r2[k];
-                acc[3] += a * r3[k];
-            }
-            out_row[j..j + COL_BLOCK].copy_from_slice(&acc);
-            j += COL_BLOCK;
-        }
-        for (jj, out) in out_row.iter_mut().enumerate().skip(blocked) {
-            let mut acc = 0.0f32;
-            for (&a, &b) in a_row.iter().zip(other.row(jj)) {
-                acc += a * b;
-            }
-            *out = acc;
-        }
+        product(Lhs::Plain(self), &other.transpose(), false, Some(pool))
     }
 
     /// `self.T @ other`. Fans out like [`Matrix::matmul`].
     pub fn transa_matmul(&self, other: &Matrix) -> Matrix {
-        if let Some(pool) = par_pool(self.rows * self.cols * other.cols) {
-            return self.transa_matmul_with(other, &pool);
-        }
         assert_eq!(self.rows, other.rows, "transa_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.transa_matmul_rows(0..self.cols, other, &mut out.data);
-        out
+        let pool = par_pool(self.rows * self.cols * other.cols);
+        product(Lhs::Transposed(self), other, true, pool.as_deref())
     }
 
-    /// `self.T @ other` with output rows fanned across `pool`.
-    ///
-    /// Each chunk of output rows (columns of `self`) streams `self` and
-    /// `other` once in ascending `k`, with the same `a == 0` skips as the
-    /// sequential path, so every output element sees the identical
-    /// float-add sequence and the result is bit-identical.
+    /// `self.T @ other` with output rows (columns of `self`) fanned across
+    /// `pool`. Bit-identical to the sequential [`Matrix::transa_matmul`].
     pub fn transa_matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
         assert_eq!(self.rows, other.rows, "transa_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        pool.par_chunks_mut(&mut out.data, other.cols, |_, rows, chunk| {
-            self.transa_matmul_rows(rows, other, chunk);
-        });
-        out
+        product(Lhs::Transposed(self), other, true, Some(pool))
     }
 
-    /// Output rows `rows` of `transa_matmul` into `chunk`, streamed
-    /// k-outer: for each row `k` of `self` and `other`, every output row
-    /// `i` in range takes `out[i][..] += self[k][i] * other[k][..]`,
-    /// skipping `self[k][i] == 0`. Each element adds over ascending `k`,
-    /// whichever rows the chunk holds.
+    /// Output rows `rows` of `self.T @ other` into `chunk`: the unit each
+    /// pooled chunk runs.
+    #[cfg(test)]
     fn transa_matmul_rows(&self, rows: Range<usize>, other: &Matrix, chunk: &mut [f32]) {
-        if other.cols == 0 {
-            return;
-        }
-        for k in 0..self.rows {
-            let b_row = other.row(k);
-            for (&a, out_row) in self.row(k)[rows.clone()]
-                .iter()
-                .zip(chunk.chunks_exact_mut(other.cols))
-            {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
+        gemm_rows(
+            Lhs::Transposed(self),
+            other,
+            rows,
+            needs_zero_skips(other),
+            chunk,
+        );
+    }
+
+    /// A packed copy of `self.T`.
+    fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
+        out
     }
 
     /// Adds `other` element-wise.
@@ -507,53 +574,61 @@ mod tests {
         }
     }
 
+    /// Scalar reference for `matmul`: the i-k-j triple loop, skipping
+    /// `a == 0`.
+    fn scalar_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for (k, &av) in a.row(i).iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    out.data[i * b.cols() + j] += av * b.get(k, j);
+                }
+            }
+        }
+        out
+    }
+
+    /// Scalar reference for `matmul_transb`: one dot product per element,
+    /// no skips.
+    fn scalar_transb(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut acc = 0.0f32;
+                for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Scalar reference for `transa_matmul`: k-outer, skipping `a == 0`.
+    fn scalar_transa(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for k in 0..a.rows() {
+            for i in 0..a.cols() {
+                let av = a.get(k, i);
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    out.data[i * b.cols() + j] += av * b.get(k, j);
+                }
+            }
+        }
+        out
+    }
+
     /// The blocked kernels against straightforward scalar references —
     /// bit-for-bit, across widths that exercise full blocks, remainders
     /// of 1–3, and widths below one block.
     #[test]
     fn blocked_kernels_match_scalar_reference_bitwise() {
-        let scalar_matmul = |a: &Matrix, b: &Matrix| {
-            let mut out = Matrix::zeros(a.rows(), b.cols());
-            for i in 0..a.rows() {
-                for (k, &av) in a.row(i).iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for j in 0..b.cols() {
-                        out.data[i * b.cols() + j] += av * b.get(k, j);
-                    }
-                }
-            }
-            out
-        };
-        let scalar_transb = |a: &Matrix, b: &Matrix| {
-            let mut out = Matrix::zeros(a.rows(), b.rows());
-            for i in 0..a.rows() {
-                for j in 0..b.rows() {
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
-                        acc += x * y;
-                    }
-                    out.set(i, j, acc);
-                }
-            }
-            out
-        };
-        let scalar_transa = |a: &Matrix, b: &Matrix| {
-            let mut out = Matrix::zeros(a.cols(), b.cols());
-            for k in 0..a.rows() {
-                for i in 0..a.cols() {
-                    let av = a.get(k, i);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for j in 0..b.cols() {
-                        out.data[i * b.cols() + j] += av * b.get(k, j);
-                    }
-                }
-            }
-            out
-        };
         let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         for cols in [1usize, 2, 3, 4, 5, 7, 8, 11, 16, 23] {
@@ -575,6 +650,144 @@ mod tests {
                 bits(&scalar_transa(&a, &wide)),
                 "{cols}"
             );
+        }
+    }
+
+    /// Element bits for bitwise comparison. Rust leaves the sign and
+    /// payload of a NaN result unspecified, so every NaN maps to one
+    /// value; everything else, −0.0 included, compares bit for bit.
+    fn canonical_bits(m: &Matrix) -> Vec<u32> {
+        m.data()
+            .iter()
+            .map(|v| {
+                if v.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// A `rows × cols` operand with +0.0 and −0.0 planted among its values.
+    fn with_signed_zeros(rows: usize, cols: usize, rng: &mut ChaCha8Rng) -> Matrix {
+        let mut m = Matrix::xavier(rows, cols, rng);
+        for (i, v) in m.data_mut().iter_mut().enumerate() {
+            match i % 5 {
+                1 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
+            }
+        }
+        m
+    }
+
+    /// A right operand holding ±inf and NaN: every product takes its
+    /// guarded path, where `0 * b` must still be skipped exactly as the
+    /// scalar reference skips it (or, for `matmul_transb`, not skipped).
+    /// The left operand is ±0.0 at every `k` where the right operand's
+    /// row is wholly ±inf or NaN, and nonzero at a `k` where it is +inf
+    /// in every other column, so the reference is finite, infinite and
+    /// NaN in different elements.
+    #[test]
+    fn non_finite_right_operand_matches_scalar_reference_bitwise() {
+        // Zeroes column `k` of `m` (rows alternating +0.0 / −0.0).
+        let zero_col = |m: &mut Matrix, k: usize| {
+            for i in 0..m.rows() {
+                m.set(i, k, if i % 2 == 0 { 0.0 } else { -0.0 });
+            }
+        };
+        // Row `r` of `m`: ±inf, then NaN in the next, then +inf in every
+        // other column of the third.
+        let poison = |m: &mut Matrix, r: usize| {
+            for j in 0..m.cols() {
+                m.set(
+                    r,
+                    j,
+                    if j % 2 == 0 {
+                        f32::INFINITY
+                    } else {
+                        f32::NEG_INFINITY
+                    },
+                );
+                m.set(r + 1, j, f32::NAN);
+                if j % 2 == 0 {
+                    m.set(r + 2, j, f32::INFINITY);
+                }
+            }
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let pool = ThreadPool::new(3);
+        for cols in [1usize, 8, 16, 17] {
+            let mut a = with_signed_zeros(9, 13, &mut rng);
+            zero_col(&mut a, 4);
+            zero_col(&mut a, 5);
+            let mut b = Matrix::xavier(13, cols, &mut rng);
+            poison(&mut b, 4);
+            let bt = b.transpose();
+            // `transa_matmul` reads its left operand transposed: zero the
+            // rows of `at` that meet `wide`'s ±inf and NaN rows.
+            let mut at = with_signed_zeros(13, 9, &mut rng);
+            zero_col(&mut at, 4);
+            zero_col(&mut at, 5);
+            let at = at.transpose();
+            let mut wide = Matrix::xavier(9, cols, &mut rng);
+            poison(&mut wide, 4);
+            let mm = scalar_matmul(&a, &b);
+            let ta = scalar_transa(&at, &wide);
+            for m in [&mm, &ta] {
+                assert!(m.data().iter().any(|v| v.is_finite()), "{cols}");
+                assert!(m.data().iter().any(|v| !v.is_finite()), "{cols}");
+            }
+            let (mm, ta) = (canonical_bits(&mm), canonical_bits(&ta));
+            let tb = canonical_bits(&scalar_transb(&a, &bt));
+            assert_eq!(canonical_bits(&a.matmul(&b)), mm, "{cols}");
+            assert_eq!(canonical_bits(&a.matmul_with(&b, &pool)), mm, "{cols}");
+            assert_eq!(canonical_bits(&a.matmul_transb(&bt)), tb, "{cols}");
+            assert_eq!(
+                canonical_bits(&a.matmul_transb_with(&bt, &pool)),
+                tb,
+                "{cols}"
+            );
+            assert_eq!(canonical_bits(&at.transa_matmul(&wide)), ta, "{cols}");
+            assert_eq!(
+                canonical_bits(&at.transa_matmul_with(&wide, &pool)),
+                ta,
+                "{cols}"
+            );
+        }
+    }
+
+    /// Every split of a product into whole tiles and edges — output rows
+    /// below, at and past one tile of `MR`, columns around one and two
+    /// tiles of `NR`, empty and one-deep `k` — sequential and pooled at
+    /// 1–8 threads, bitwise against the scalar references.
+    #[test]
+    fn ragged_shapes_match_scalar_reference_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let pools: Vec<ThreadPool> = (1..=8).map(ThreadPool::new).collect();
+        for rows in [0usize, 1, 3, 4, 5, 9] {
+            for cols in [1usize, 7, 8, 9, 16, 17] {
+                for depth in [0usize, 1, 13] {
+                    let shape = format!("{rows}x{depth}x{cols}");
+                    let a = with_signed_zeros(rows, depth, &mut rng);
+                    let at = with_signed_zeros(depth, rows, &mut rng);
+                    let b = Matrix::xavier(depth, cols, &mut rng);
+                    let bt = Matrix::xavier(cols, depth, &mut rng);
+                    let mm = canonical_bits(&scalar_matmul(&a, &b));
+                    let tb = canonical_bits(&scalar_transb(&a, &bt));
+                    let ta = canonical_bits(&scalar_transa(&at, &b));
+                    assert_eq!(canonical_bits(&a.matmul(&b)), mm, "{shape}");
+                    assert_eq!(canonical_bits(&a.matmul_transb(&bt)), tb, "{shape}");
+                    assert_eq!(canonical_bits(&at.transa_matmul(&b)), ta, "{shape}");
+                    for pool in &pools {
+                        let on = format!("{shape} on {} threads", pool.threads());
+                        assert_eq!(canonical_bits(&a.matmul_with(&b, pool)), mm, "{on}");
+                        assert_eq!(canonical_bits(&a.matmul_transb_with(&bt, pool)), tb, "{on}");
+                        assert_eq!(canonical_bits(&at.transa_matmul_with(&b, pool)), ta, "{on}");
+                    }
+                }
+            }
         }
     }
 
